@@ -195,7 +195,7 @@ def _sweep_run(task: dict) -> dict:
                                wall_kind=task["wall_kind"], seed=task["seed"],
                                **task["overrides"])
     result = adclust(dataset, params)
-    metrics = cluster_metrics(dataset.points, result, truth)
+    metrics = cluster_metrics(result, truth)
     command = {"command": "sweep", "kind": task["kind"], "k": task["k"],
                "alpha": task["alpha"], "run": task["run"]}
     rep = build_cluster_report(dataset, result, truth, command)

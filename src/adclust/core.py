@@ -1,11 +1,14 @@
 """Three-pass density clustering with labeled sub-clusters and walls.
 
 Merge semantics: over a participating point set, connect every pair
-within rt (closed) and take connected components; a component becomes a
-cluster when it contains at least one point whose centroid statistic
-reaches dt, otherwise its points stay unassigned. This equals running
-seeded attach-and-merge to a fixpoint, and a brute-force transitive
-closure is the reference oracle for it.
+within rt (closed: a pair at exactly rt connects) and take connected
+components; a component becomes a cluster when it contains at least one
+point whose centroid statistic reaches dt, otherwise its points stay
+unassigned. This equals running seeded attach-and-merge to a fixpoint,
+and a brute-force transitive closure is the reference oracle for it.
+Merges, density n(p) and pass-1 conflicts all take their pairs from
+grid.rt_pairs, so they agree on every edge; inputs whose squared
+distances overflow raise ValidationError (CLI exit 2).
 
 Pass 1 runs two sign-separated merges over the kernel-weighted density
 rho(p) = n(p) * w(p): the normal merge over {rho > 0} seeded by
@@ -21,15 +24,16 @@ pass 3 on all points, both with the same rt and dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .dataset import LABEL_ABNORMAL, LABEL_NORMAL, Dataset
 from .errors import ValidationError
 from .grid import DensityProfile, Thresholds, build_grid, compute_density, \
-    compute_dt, compute_rt
+    compute_dt, compute_rt, rt_pairs
 from .kernel import fit_kernel, pipeline_scores, weight
 from .walls import Wall, fit_euclidean_wall, fit_manhattan_wall, fit_region_stats
 
@@ -40,30 +44,6 @@ REGION_UNKNOWN = 3
 REGION_OUTLIER = 4
 REGION_NAMES = ("normal_core", "abnormal_region", "mixed_overlap",
                 "unknown_cluster", "outlier")
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
 
 
 def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
@@ -85,28 +65,18 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
         raise ValidationError("point_ids must be unique")
     order = np.argsort(point_ids)
     ids = point_ids[order]
-    stat = stat[order]
-    sub = points[ids]
-    uf = UnionFind(ids.size)
-    if ids.size > 1:
-        pairs = cKDTree(sub).query_pairs(rt, output_type="ndarray")
-        for a, b in pairs.tolist():
-            uf.union(a, b)
-    roots = np.fromiter((uf.find(i) for i in range(ids.size)),
-                        dtype=np.int64, count=ids.size)
-    seeded_roots = set(roots[stat >= dt].tolist())
-    members: dict[int, list[int]] = {}
-    for local, root in enumerate(roots.tolist()):
-        members.setdefault(root, []).append(local)
-    clusters = []
-    unassigned = []
-    for root in sorted(members, key=lambda r: members[r][0]):
-        locs = members[root]
-        if root in seeded_roots:
-            clusters.append(ids[locs])
-        else:
-            unassigned.extend(ids[locs].tolist())
-    return clusters, np.array(sorted(unassigned), dtype=np.int64)
+    k = ids.size
+    i, j = rt_pairs(points[ids], rt)
+    graph = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(k, k))
+    n_comp, comp = connected_components(graph, directed=False)
+    seeded = np.zeros(n_comp, dtype=bool)
+    seeded[comp[stat[order] >= dt]] = True
+    kept = np.flatnonzero(seeded[comp])
+    kept = kept[np.argsort(comp[kept], kind="stable")]
+    bounds = np.flatnonzero(np.diff(comp[kept])) + 1
+    clusters = np.split(ids[kept], bounds) if kept.size else []
+    clusters.sort(key=lambda c: c[0])
+    return clusters, ids[~seeded[comp]]
 
 
 @dataclass
@@ -138,21 +108,20 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 
     norm_groups = anchored(norm_raw, LABEL_NORMAL)
     abn_groups = anchored(abn_raw, LABEL_ABNORMAL)
-    taken = np.zeros(n, dtype=bool)
-    for g in norm_groups + abn_groups:
-        taken[g] = True
-    remaining = all_ids[~taken]
+    side = np.zeros(n, dtype=np.int64)  # 0 pool, 1 normal, 2 abnormal
+    for tag, groups in ((1, norm_groups), (2, abn_groups)):
+        for g in groups:
+            side[g] = tag
+    remaining = all_ids[side == 0]
 
     conflicted = np.empty(0, dtype=np.int64)
     if norm_groups and abn_groups and remaining.size:
-        norm_tree = cKDTree(points[np.concatenate(norm_groups)])
-        abn_tree = cKDTree(points[np.concatenate(abn_groups)])
-        rem_pts = points[remaining]
-        near_n = np.array([len(x) > 0 for x in
-                           norm_tree.query_ball_point(rem_pts, rt)])
-        near_a = np.array([len(x) > 0 for x in
-                           abn_tree.query_ball_point(rem_pts, rt)])
-        conflicted = remaining[near_n & near_a]
+        # near[s, p]: p has a point of side s within rt
+        i, j = rt_pairs(points, rt)
+        near = np.zeros((3, n), dtype=bool)
+        near[side[j], i] = True
+        near[side[i], j] = True
+        conflicted = remaining[near[1, remaining] & near[2, remaining]]
 
     normal_subs = [SubCluster(g, "normal", 1) for g in norm_groups]
     abnormal_subs = [SubCluster(g, "abnormal", 1) for g in abn_groups]
@@ -304,26 +273,23 @@ class ClusteringResult:
     params: AdclustParams
     bandwidth: float
     uninformative_scores: int
-    protected: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.protected is None:
-            inside = np.zeros(self.composition.region.shape[0], dtype=bool)
-            self.protected = inside
+    inside_walls: np.ndarray
+    protected: np.ndarray
 
 
 def adclust(dataset: Dataset, params: AdclustParams | None = None) -> ClusteringResult:
     """Run thresholds, kernel weighting, three merges, match, and walls.
 
     One wall is fitted per normal region with at least
-    max(2, min_wall_size) members, at level alpha. The protected set is
-    the normal core inside any wall.
+    max(2, min_wall_size) members, at level alpha. inside_walls marks the
+    points inside any wall; the protected set is the normal core among
+    them.
     """
     params = params or AdclustParams()
     pts = dataset.points
 
-    clf = fit_kernel(dataset, bandwidth=params.bandwidth)
     grid = build_grid(pts, params.target_fraction)
+    clf = fit_kernel(dataset, bandwidth=params.bandwidth)
     rt, a_p, d_c = compute_rt(grid, pts, params.coef_rt)
     if rt <= 0:
         raise ValidationError("computed rt is zero; points are coincident")
@@ -372,5 +338,5 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
                               thresholds=thresholds, profile=profile,
                               params=params, bandwidth=clf.bandwidth,
                               uninformative_scores=int(flags.sum()),
-                              protected=protected)
+                              inside_walls=inside, protected=protected)
     return result

@@ -8,7 +8,10 @@ under any permutation of the points and lets an independent oracle
 reproduce them exactly.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
-in dimension order, float64 throughout.
+in dimension order, float64 throughout (_sq_distances). rt_pairs is the
+one closed rt-pair kernel: a pair at exactly rt connects, and density
+here and every merge and conflict in core use it. Inputs whose squared
+distances overflow raise ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
 
@@ -81,6 +85,28 @@ def _fmean(values) -> float:
     return math.fsum(vals) / len(vals)
 
 
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared differences summed in dimension order; a and b hold one
+    coordinate per row and broadcast along their remaining axes."""
+    sq = a - b
+    sq *= sq
+    total = np.zeros(sq.shape[1:])
+    for row in sq:
+        total += row
+    return total
+
+
+def _check_extent(points: np.ndarray) -> None:
+    """No pair's squared distance exceeds the bounding box diagonal's, so
+    a finite diagonal rules out overflow everywhere."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = _sq_distances(hi[:, None], lo[:, None])
+    if not np.isfinite(diagonal).all():
+        raise ValidationError("coordinate ranges too large: squared "
+                              "distances overflow")
+
+
 def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     """Assign points to uniform grid cells.
 
@@ -97,6 +123,7 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     m = min(max(1, math.floor(1.0 / target_fraction)), n)
     mins = points.min(axis=0)
     maxs = points.max(axis=0)
+    _check_extent(points)
     widths = (maxs - mins) / m
     degenerate = widths == 0.0
     safe = np.where(degenerate, 1.0, widths)
@@ -139,17 +166,16 @@ def compute_rt(grid: Grid, points: np.ndarray,
     if coef_rt <= 0:
         raise ValidationError("coef_rt must be positive")
     n, q = points.shape
+    cols = np.ascontiguousarray(points.T)
     a_p = np.full(n, np.nan)
     d_c: dict[CellKey, float] = {}
     for key in sorted(grid.cells):
         members = grid.cells[key]
         nb = _neighborhood_ids(grid, key)
-        block = points[nb]
+        block = cols[:, nb]
         a_vals = []
         for p in members.tolist():
-            diffs = block - points[p]
-            dist = np.sqrt((diffs * diffs).sum(axis=1))
-            dist = dist[nb != p]
+            dist = np.sqrt(_sq_distances(block, cols[:, p, None]))[nb != p]
             if dist.size:
                 a_p[p] = _fmean(dist.tolist())
                 a_vals.append(a_p[p])
@@ -161,33 +187,43 @@ def compute_rt(grid: Grid, points: np.ndarray,
     return rt, a_p, d_c
 
 
+def rt_pairs(points: np.ndarray, rt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of every pair i < j at distance <= rt.
+
+    KD-tree candidates within rt plus a few ulps per dimension (its own
+    summation order may round differently) are rechecked with the
+    documented distance, so a pair at exactly rt is kept.
+    """
+    if rt < 0:
+        raise ValidationError("rt must be nonnegative")
+    n, q = points.shape
+    if n < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    _check_extent(points)
+    reach = rt * (1.0 + 4 * (q + 2) * np.finfo(np.float64).eps)
+    cand = cKDTree(points).query_pairs(reach, output_type="ndarray")
+    i, j = cand[:, 0], cand[:, 1]
+    cols = np.ascontiguousarray(points.T)
+    keep = np.sqrt(_sq_distances(cols[:, i], cols[:, j])) <= rt
+    return i[keep], j[keep]
+
+
 def compute_density(grid: Grid, points: np.ndarray, rt: float,
                     exact: bool = False) -> np.ndarray:
     """Point density n(p): neighborhood points within rt of p, p included.
 
-    The neighborhood restriction undercounts when rt exceeds the cell
-    side; exact=True counts against all points instead (validation
-    fallback).
+    Counts the rt_pairs partners of p in cells within Chebyshev distance
+    1 of its own. The neighborhood restriction undercounts when rt
+    exceeds the cell side; exact=True counts every partner instead
+    (validation fallback).
     """
-    if rt < 0:
-        raise ValidationError("rt must be nonnegative")
+    i, j = rt_pairs(points, rt)
+    if not exact:
+        cells = grid.cell_of_point
+        near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
+        i, j = i[near], j[near]
     n = points.shape[0]
-    n_p = np.zeros(n, dtype=np.int64)
-    if exact:
-        for p in range(n):
-            diffs = points - points[p]
-            dist = np.sqrt((diffs * diffs).sum(axis=1))
-            n_p[p] = int((dist <= rt).sum())
-        return n_p
-    for key in sorted(grid.cells):
-        members = grid.cells[key]
-        nb = _neighborhood_ids(grid, key)
-        block = points[nb]
-        for p in members.tolist():
-            diffs = block - points[p]
-            dist = np.sqrt((diffs * diffs).sum(axis=1))
-            n_p[p] = int((dist <= rt).sum())
-    return n_p
+    return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
 
 
 def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,

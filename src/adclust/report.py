@@ -42,7 +42,7 @@ def dump_json(obj, path: str) -> None:
         fh.write(text + "\n")
 
 
-def cluster_metrics(points: np.ndarray, result: ClusteringResult,
+def cluster_metrics(result: ClusteringResult,
                     truth: np.ndarray | None) -> dict:
     """Region counts plus truth-based metrics where truth is known.
 
@@ -67,10 +67,7 @@ def cluster_metrics(points: np.ndarray, result: ClusteringResult,
         if mixed.any():
             metrics["abnormal_fraction_mixed"] = float(
                 (truth[mixed] == 0).mean())
-        inside = np.zeros(truth.shape[0], dtype=bool)
-        for wall in result.walls:
-            inside |= wall.contains(points)
-        inside &= known
+        inside = result.inside_walls & known
         if inside.any():
             metrics["wall_purity"] = float((truth[inside] == 1).mean())
     return metrics
@@ -127,7 +124,7 @@ def build_cluster_report(dataset: Dataset, result: ClusteringResult,
                          for i, sc in enumerate(comp.sub_clusters)],
         "conflicted_count": int(comp.conflicted.size),
         "walls": walls,
-        "metrics": cluster_metrics(dataset.points, result, truth),
+        "metrics": cluster_metrics(result, truth),
         "region_names": list(REGION_NAMES),
         "points": {
             "columns": ["region", "cluster", "sub_cluster", "label",

@@ -41,21 +41,12 @@ def fit_region_stats(points: np.ndarray) -> RegionStats:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise DegenerateRegionError("degenerate region")
-    n, q = points.shape
+    n = points.shape[0]
     mean = points.mean(axis=0)
     diffs = points - mean
     # einsum keeps the reduction single-threaded and deterministic
     cov = np.einsum("ij,ik->jk", diffs, diffs, optimize=False) / (n - 1)
-    cov = 0.5 * (cov + cov.T)
-    trace = float(np.trace(cov))
-    eps = RIDGE_SCALE * trace / q if trace > 0 else ABS_RIDGE
-    ridged = False
-    if float(np.linalg.eigvalsh(cov).min()) < eps:
-        cov = cov + eps * np.eye(q)
-        ridged = True
-    return RegionStats(mean=mean, covariance=cov,
-                       stddevs=np.sqrt(np.diag(cov)),
-                       member_count=n, ridged=ridged)
+    return stats_from_moments(mean, cov, n)
 
 
 def stats_from_moments(mean, covariance, member_count: int = 0) -> RegionStats:

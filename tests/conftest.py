@@ -31,7 +31,7 @@ def oracle_grid_cells(points: np.ndarray, target_fraction: float = 0.075):
     return keys, m
 
 
-def _dist(a, b) -> float:
+def oracle_distance(a, b) -> float:
     # squared differences summed in dimension order, the library's
     # documented distance convention
     total = 0.0
@@ -68,7 +68,8 @@ def oracle_thresholds(points: np.ndarray, coef_rt: float, coef_dt: float,
         vals = []
         nb = neighborhood(key)
         for p in cells[key]:
-            dists = [_dist(points[p], points[o]) for o in nb if o != p]
+            dists = [oracle_distance(points[p], points[o])
+                     for o in nb if o != p]
             if dists:
                 a_p[p] = math.fsum(dists) / len(dists)
                 vals.append(a_p[p])
@@ -82,7 +83,8 @@ def oracle_thresholds(points: np.ndarray, coef_rt: float, coef_dt: float,
     for key in sorted(cells):
         nb = neighborhood(key)
         for p in cells[key]:
-            n_p[p] = sum(1 for o in nb if _dist(points[p], points[o]) <= rt)
+            n_p[p] = sum(1 for o in nb
+                         if oracle_distance(points[p], points[o]) <= rt)
 
     n_c: dict[tuple, float] = {}
     for key in sorted(cells):
@@ -104,7 +106,7 @@ def oracle_merge(points: np.ndarray, point_ids, stat, dt: float, rt: float):
     adj = {i: [] for i in ids}
     for a_pos, a in enumerate(ids):
         for b in ids[a_pos + 1:]:
-            if _dist(points[a], points[b]) <= rt:
+            if oracle_distance(points[a], points[b]) <= rt:
                 adj[a].append(b)
                 adj[b].append(a)
     seen = set()

@@ -52,10 +52,19 @@ def test_dt_log_base_variant():
 
 def test_oracle_equivalence_seeded():
     rng = np.random.default_rng(7)
-    for trial in range(30):
-        n = int(rng.integers(5, 120))
-        q = int(rng.integers(1, 4))
-        pts = rng.normal(size=(n, q)) * rng.uniform(0.5, 3.0)
+    for trial in range(34):
+        if trial < 30:
+            n = int(rng.integers(5, 120))
+            q = int(rng.integers(1, 4))
+            pts = rng.normal(size=(n, q)) * rng.uniform(0.5, 3.0)
+        else:
+            # q >= 8, where numpy's row sums are pairwise, not in
+            # dimension order; tight blobs keep neighborhoods occupied
+            n = 60
+            q = 8 + trial % 2
+            centers = rng.normal(size=(3, q)) * 5.0
+            pts = centers[rng.integers(0, 3, size=n)] + \
+                rng.normal(size=(n, q)) * rng.uniform(0.05, 0.3)
         coef_rt = float(rng.choice([0.5, 1.0, 5.0, 20.0]))
         coef_dt = float(rng.choice([0.5, 0.95, 2.0]))
         grid = build_grid(pts)
@@ -172,6 +181,8 @@ def test_validation_errors():
         build_grid(np.empty((0, 2)))
     with pytest.raises(ValidationError):
         build_grid(np.zeros((3, 2)), target_fraction=0.0)
+    with pytest.raises(ValidationError, match="overflow"):
+        build_grid(np.array([[1e200, 0.0], [-1e200, 0.0]]))
     pts = np.array([[0.0], [1.0]])
     grid = build_grid(pts)
     with pytest.raises(ValidationError):

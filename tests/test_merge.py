@@ -6,7 +6,7 @@ import pytest
 
 from adclust.core import merge
 from adclust.errors import ValidationError
-from conftest import oracle_merge
+from conftest import oracle_distance, oracle_merge
 
 
 def ids(n):
@@ -89,6 +89,9 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         merge(pts, np.array([4, 4], dtype=np.int64), np.array([1.0, 1.0]),
               dt=1.0, rt=0.5)
+    huge = np.array([[1e200, 0.0], [-1e200, 0.0]])
+    with pytest.raises(ValidationError, match="overflow"):
+        merge(huge, ids(2), np.array([1.0, 1.0]), dt=1.0, rt=0.5)
 
 
 def test_oracle_equivalence_seeded():
@@ -104,6 +107,23 @@ def test_oracle_equivalence_seeded():
         expected_clusters, expected_un = oracle_merge(
             pts, point_ids, stat, dt, rt)
         got_clusters, got_un = merge(pts, point_ids, stat, dt=dt, rt=rt)
+        assert [c.tolist() for c in got_clusters] == \
+            [c.tolist() for c in expected_clusters]
+        assert got_un.tolist() == expected_un.tolist()
+    # exact ties: 12 lattice points (multiples of 0.1) with rt set to
+    # one pair's documented distance, which must connect
+    for trial in range(400):
+        q = int(rng.integers(2, 5))
+        pts = rng.integers(-5, 6, size=(12, q)) * 0.1
+        a, b = rng.choice(12, size=2, replace=False)
+        rt = oracle_distance(pts[a], pts[b])
+        if rt == 0.0:
+            continue
+        point_ids = np.arange(12, dtype=np.int64)
+        stat = rng.uniform(0.0, 2.0, size=12)
+        expected_clusters, expected_un = oracle_merge(
+            pts, point_ids, stat, 1.0, rt)
+        got_clusters, got_un = merge(pts, point_ids, stat, dt=1.0, rt=rt)
         assert [c.tolist() for c in got_clusters] == \
             [c.tolist() for c in expected_clusters]
         assert got_un.tolist() == expected_un.tolist()

@@ -11,6 +11,7 @@ from adclust.core import (REGION_ABNORMAL, REGION_MIXED, REGION_NORMAL_CORE,
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
 from adclust.synthetic import simulation_preset
+from conftest import oracle_distance
 
 
 def col(values):
@@ -69,6 +70,31 @@ def test_pass1_conflicted_point_near_both_classes():
     # out of reach of the normal side: no conflict
     _, _, conflicted, _ = pass1_labeled(pts, labels, rho, dt=1.0, rt=0.4)
     assert conflicted.size == 0
+    # brute force on lattice points (multiples of 0.1), rt set to one
+    # pair's documented distance so that exact ties occur
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        q = int(rng.integers(2, 5))
+        pts = rng.integers(-5, 6, size=(16, q)) * 0.1
+        labels = rng.choice(np.array([1, 0, -1, -1], dtype=np.int8), 16)
+        rho = rng.choice([2.0, -2.0, 0.0], 16)
+        rho[labels == 1], rho[labels == 0] = 2.0, -2.0
+        a, b = rng.choice(16, size=2, replace=False)
+        rt = oracle_distance(pts[a], pts[b])
+        if rt == 0.0:
+            continue
+        normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
+            pts, labels, rho, dt=1.0, rt=rt)
+        taken = set().union(*members(normal_subs + abnormal_subs))
+        assert remaining.tolist() == sorted(set(range(16)) - taken)
+
+        def near(p, subs):
+            return any(oracle_distance(pts[p], pts[o]) <= rt
+                       for sc in subs for o in sc.members)
+
+        expected = [p for p in remaining.tolist()
+                    if near(p, normal_subs) and near(p, abnormal_subs)]
+        assert conflicted.tolist() == expected
 
 
 def test_pass2_runs_on_leftovers_with_plain_density():

@@ -127,6 +127,18 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
                        ("--truth", str(short_truth))) == 2
     assert "do not match" in capsys.readouterr().err
 
+    # finite values whose squared distances overflow
+    huge = tmp_path / "huge.csv"
+    rng = np.random.default_rng(0)
+    labels = np.full(40, -1, dtype=np.int8)
+    labels[:3], labels[20:23] = 1, 0
+    write_csv(str(huge), Dataset(rng.normal(size=(40, 2)) * 1e200, labels))
+    assert main(["cluster", "--input", str(huge),
+                 "--out", str(tmp_path / "o4")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+    assert "Traceback" not in err
+
 
 def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
     isolated = tmp_path / "corners.csv"
