@@ -12,7 +12,7 @@ from .game import (Equilibrium, GameConfig, GameTables, PopulationSpec,
                    UtilitySpec, attacker_utility, build_tables,
                    defender_utility, solve_follower, solve_game, solve_leader)
 from .grid import (Grid, Thresholds, build_grid, compute_density, compute_dt,
-                   compute_rt, neighbor_cells)
+                   compute_rt)
 from .kernel import KernelClassifier, fit_kernel, median_pairwise_distance, \
     weight
 from .synthetic import (Component, MixtureSpec, game_names, game_preset,
@@ -34,7 +34,7 @@ __all__ = [
     "defender_utility", "eta_of_alpha", "fit_euclidean_wall",
     "fit_kernel", "fit_manhattan_wall", "fit_region_stats", "game_names",
     "game_preset", "generate", "ingest_csv", "match",
-    "median_pairwise_distance", "merge", "neighbor_cells", "read_truth_csv",
+    "median_pairwise_distance", "merge", "read_truth_csv",
     "simulation_names", "simulation_preset", "solve_follower", "solve_game",
     "solve_leader", "stats_from_moments", "weight", "write_csv",
 ]

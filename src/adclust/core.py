@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .dataset import LABEL_ABNORMAL, LABEL_NORMAL, Dataset
 from .errors import ValidationError
@@ -53,6 +52,9 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
     stat aligns with point_ids. Returns (clusters, unassigned) with
     clusters ordered by smallest member id and members ascending.
     """
+    # csgraph costs about 3 MB of peak RSS; only merges need it
+    from scipy.sparse.csgraph import connected_components
+
     if rt <= 0:
         raise ValidationError("rt must be positive")
     point_ids = np.asarray(point_ids, dtype=np.int64)

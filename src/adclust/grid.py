@@ -7,6 +7,10 @@ math.fsum(values) / len(values), which makes rt and dt bit-identical
 under any permutation of the points and lets an independent oracle
 reproduce them exactly.
 
+A cell's 3^q neighborhood is the set of occupied cells within Chebyshev
+distance 1 of it, itself included. Only occupied cells are ever
+visited, so the cost scales with occupied-cell pairs, not with 3^q.
+
 Distance convention: Euclidean, sqrt of the squared differences summed
 in dimension order, float64 throughout (_sq_distances). rt_pairs is the
 one closed rt-pair kernel: a pair at exactly rt connects, and density
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +28,10 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateGeometryError, ValidationError
 
 CellKey = tuple[int, ...]
+
+# Largest q * rows * neighborhood count of coordinate differences
+# compute_rt takes in one distance block, so its memory stays bounded.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -88,11 +95,11 @@ def _fmean(values) -> float:
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared differences summed in dimension order; a and b hold one
     coordinate per row and broadcast along their remaining axes."""
-    sq = a - b
-    sq *= sq
-    total = np.zeros(sq.shape[1:])
-    for row in sq:
-        total += row
+    total = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for x, y in zip(a, b):
+        sq = x - y
+        sq *= sq
+        total += sq
     return total
 
 
@@ -138,20 +145,23 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
                 cells=packed, degenerate_dims=degenerate)
 
 
-def neighbor_cells(grid: Grid, key: CellKey) -> list[CellKey]:
-    """Index tuples whose section differs by at most 1 in every dimension.
+def _neighborhoods(grid: Grid) -> tuple[list[CellKey], list[np.ndarray]]:
+    """Sorted occupied keys and, per key, the ids of the points in the
+    occupied cells within Chebyshev distance 1 of it, its own included.
 
-    Includes key itself; indices clip at the grid boundary. Returned in
-    sorted order, occupied or not.
+    Only occupied cells are visited: a KD-tree over the integer keys
+    finds every cell pair at Chebyshev distance <= 1, which is exact on
+    integers. Each neighborhood lists its cells in sorted key order.
     """
-    m = grid.sections
-    ranges = [range(max(0, k - 1), min(m - 1, k + 1) + 1) for k in key]
-    return [tuple(t) for t in product(*ranges)]
-
-
-def _neighborhood_ids(grid: Grid, key: CellKey) -> np.ndarray:
-    parts = [grid.cells[k] for k in neighbor_cells(grid, key) if k in grid.cells]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    keys = sorted(grid.cells)
+    tree = cKDTree(np.array(keys, dtype=np.float64))
+    near = [[c] for c in range(len(keys))]
+    for i, j in tree.query_pairs(1.0, p=np.inf):
+        near[i].append(j)
+        near[j].append(i)
+    members = [grid.cells[k] for k in keys]
+    hoods = [np.concatenate([members[j] for j in sorted(nb)]) for nb in near]
+    return keys, hoods
 
 
 def compute_rt(grid: Grid, points: np.ndarray,
@@ -161,28 +171,30 @@ def compute_rt(grid: Grid, points: np.ndarray,
     a(p) averages distances from p to its neighborhood, excluding p;
     d(c) averages a(p) over the cell's points with a defined a(p); cells
     where no point has one contribute nothing. All points isolated in
-    their neighborhoods is an error.
+    their neighborhoods is an error, raised before any distance work.
     """
     if coef_rt <= 0:
         raise ValidationError("coef_rt must be positive")
     n, q = points.shape
+    keys, hoods = _neighborhoods(grid)
+    live = [(key, nb) for key, nb in zip(keys, hoods) if nb.size > 1]
+    if not live:
+        raise DegenerateGeometryError("degenerate density geometry")
     cols = np.ascontiguousarray(points.T)
     a_p = np.full(n, np.nan)
     d_c: dict[CellKey, float] = {}
-    for key in sorted(grid.cells):
+    for key, nb in live:
         members = grid.cells[key]
-        nb = _neighborhood_ids(grid, key)
-        block = cols[:, nb]
+        block = cols[:, None, nb]
+        step = max(1, _BLOCK_ELEMENTS // (q * nb.size))
         a_vals = []
-        for p in members.tolist():
-            dist = np.sqrt(_sq_distances(block, cols[:, p, None]))[nb != p]
-            if dist.size:
-                a_p[p] = _fmean(dist.tolist())
+        for lo in range(0, members.size, step):
+            rows = members[lo:lo + step]
+            dists = np.sqrt(_sq_distances(cols[:, rows, None], block))
+            for p, dist in zip(rows.tolist(), dists):
+                a_p[p] = _fmean(dist[nb != p].tolist())
                 a_vals.append(a_p[p])
-        if a_vals:
-            d_c[key] = _fmean(a_vals)
-    if not d_c:
-        raise DegenerateGeometryError("degenerate density geometry")
+        d_c[key] = _fmean(a_vals)
     rt = _fmean(d_c.values()) / (q * coef_rt)
     return rt, a_p, d_c
 

@@ -17,6 +17,9 @@ from .dataset import LABEL_NONE, Dataset
 from .errors import InsufficientLabelsError, ValidationError
 
 BANDWIDTH_FLOOR = 1e-12
+# Largest rows * labeled * q block of coordinate differences score
+# builds at once, so its memory stays bounded.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -69,20 +72,21 @@ def score(clf: KernelClassifier, points: np.ndarray,
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     denom2 = 2.0 * clf.bandwidth * clf.bandwidth
-    diffs = points[:, None, :] - clf.labeled_points[None, :, :]
-    k = np.exp(-(diffs * diffs).sum(axis=2) / denom2)
+    labeled = clf.labeled_points
     m = points.shape[0]
     b = np.empty(m)
     flat = np.zeros(m, dtype=bool)
-    for i in range(m):
-        row = k[i].tolist()
-        den = math.fsum(row)
-        if den == 0.0:
-            b[i] = 0.5
-            flat[i] = True
-        else:
-            num = math.fsum((k[i] * clf.labels01).tolist())
-            b[i] = num / den
+    step = max(1, _BLOCK_ELEMENTS // max(labeled.size, 1))
+    for lo in range(0, m, step):
+        diffs = points[lo:lo + step, None, :] - labeled[None, :, :]
+        k = np.exp(-(diffs * diffs).sum(axis=2) / denom2)
+        for i, row in enumerate(k, start=lo):
+            den = math.fsum(row.tolist())
+            if den == 0.0:
+                b[i] = 0.5
+                flat[i] = True
+            else:
+                b[i] = math.fsum((row * clf.labels01).tolist()) / den
     if return_flags:
         return b, flat
     return b

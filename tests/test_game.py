@@ -113,6 +113,25 @@ def test_attacker_utility_direct_matches_tables_bitwise():
         assert direct == tables.attacker[0][it, ih]
 
 
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_every_table_cell_matches_direct_evaluation_bitwise(wall_kind):
+    # 19 radii: one full alpha chunk and a partial one
+    config = small_config(sample_size=1000, wall_kind=wall_kind,
+                          alpha_step=0.05, t_step=0.05)
+    tables = build_tables(config)
+    sample = sample_population(config.adversaries[0])
+    for ih in range(len(tables.alphas)):
+        wall = tables.wall_at(ih)
+        for it, t in enumerate(tables.ts.tolist()):
+            moved = apply_attack(sample, tables.mu_g, t)
+            s = wall.mahalanobis_sq(moved) if wall_kind == "euclidean" \
+                else wall.scaled_l1(moved)
+            direct = attacker_utility(config.utilities[0], sample,
+                                      tables.mu_g, t, wall)
+            assert direct == tables.attacker[0][it, ih]
+            assert (s <= wall.radius).mean() == tables.adv_error[0][it, ih]
+
+
 def test_pass_rate_never_decreases_with_contraction():
     # moving toward the wall center can only bring objects inside
     config = small_config(sample_size=500)

@@ -8,8 +8,8 @@ import pytest
 from conftest import oracle_thresholds
 
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (build_grid, compute_density, compute_dt, compute_rt,
-                          neighbor_cells)
+from adclust.grid import (_neighborhoods, build_grid, compute_density,
+                          compute_dt, compute_rt)
 
 
 def test_rt_two_points_1d():
@@ -111,19 +111,50 @@ def test_scale_invariance_of_rt_ratio():
     assert rt2 == pytest.approx(10.0 * rt, rel=1e-12)
 
 
-def test_neighbor_cells_interior_and_corner():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(size=(100, 2))
+def test_occupied_neighborhoods_match_brute_force():
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        q = 1 + trial % 5
+        n = int(rng.integers(1, 80))
+        pts = rng.uniform(size=(n, q)) * rng.uniform(0.5, 5.0, size=q)
+        if trial % 4 == 3:
+            pts[:, rng.integers(0, q)] = 2.5  # degenerate dimension
+        grid = build_grid(pts, float(rng.choice([0.075, 0.25, 0.5])))
+        keys, hoods = _neighborhoods(grid)
+        assert keys == sorted(grid.cells)
+        assert len(hoods) == len(keys)
+        for key, ids in zip(keys, hoods):
+            near = [k for k in keys
+                    if max(abs(a - b) for a, b in zip(key, k)) <= 1]
+            expected = np.concatenate([grid.cells[k] for k in near])
+            np.testing.assert_array_equal(ids, expected)
+            cells = {tuple(c) for c in grid.cell_of_point[ids].tolist()}
+            assert cells <= set(grid.cells)
+
+
+def test_rt_over_row_chunks_matches_oracle():
+    # one cell of 400 points in 3-d is split into several distance blocks
+    pts = np.random.default_rng(9).normal(size=(400, 3))
+    grid = build_grid(pts, target_fraction=1.0)
+    rt, a_p, d_c = compute_rt(grid, pts, coef_rt=1.0)
+    o_rt, o_ap, o_dc, *_ = oracle_thresholds(pts, 1.0, 0.95,
+                                             target_fraction=1.0)
+    assert rt == o_rt
+    np.testing.assert_array_equal(a_p, o_ap)
+    assert d_c == o_dc
+
+
+@pytest.mark.parametrize("q", [12, 20])
+def test_high_q_isolated_points_fail_fast(q):
+    # m = 13 sections per dimension: 300 uniform points share no cell
+    # neighborhood, which has up to 3^q cells
+    pts = np.random.default_rng(q).uniform(size=(300, q))
     grid = build_grid(pts)
-    m = grid.sections
-    inner = neighbor_cells(grid, (5, 5))
-    assert len(inner) == 9
-    assert inner == sorted(inner)
-    corner = neighbor_cells(grid, (0, 0))
-    assert len(corner) == 4
-    edge = neighbor_cells(grid, (0, m - 1))
-    assert len(edge) == 4
-    assert all(0 <= a < m and 0 <= b < m for a, b in inner + corner + edge)
+    keys, hoods = _neighborhoods(grid)
+    assert len(keys) == 300
+    assert all(ids.size == 1 for ids in hoods)
+    with pytest.raises(DegenerateGeometryError, match="degenerate"):
+        compute_rt(grid, pts)
 
 
 def test_closed_upper_edge():

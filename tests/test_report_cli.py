@@ -152,6 +152,19 @@ def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", [12, 20])
+def test_exit_code_three_on_high_q_isolated_points(tmp_path, capsys, q):
+    pts = np.random.default_rng(q).uniform(size=(300, q))
+    labels = np.full(300, -1, dtype=np.int8)
+    labels[:3] = 1
+    labels[3:6] = 0
+    csv_path = str(tmp_path / "high_q.csv")
+    write_csv(csv_path, Dataset(pts, labels))
+    assert main(["cluster", "--input", csv_path,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "degenerate" in capsys.readouterr().err
+
+
 def test_simulate_round_trips_bit_exactly(tmp_path):
     out_csv = tmp_path / "sim3.csv"
     assert main(["simulate", "--preset", "sim3", "--seed", "4",
