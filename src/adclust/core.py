@@ -6,9 +6,10 @@ components; a component becomes a cluster when it contains at least one
 point whose centroid statistic reaches dt, otherwise its points stay
 unassigned. This equals running seeded attach-and-merge to a fixpoint,
 and a brute-force transitive closure is the reference oracle for it.
-Merges, density n(p) and pass-1 conflicts all take their pairs from
-grid.rt_pairs, so they agree on every edge; inputs whose squared
-distances overflow raise ValidationError (CLI exit 2).
+adclust() builds the closed rt graph once per call (grid.rt_pairs);
+density n(p), the pass-1 conflicts and all four merges read it, a merge
+using the edges with both ends among its participants. Inputs whose
+squared distances overflow raise ValidationError (CLI exit 2).
 
 Pass 1 runs two sign-separated merges over the kernel-weighted density
 rho(p) = n(p) * w(p): the normal merge over {rho > 0} seeded by
@@ -31,8 +32,8 @@ from scipy import sparse
 
 from .dataset import LABEL_ABNORMAL, LABEL_NORMAL, Dataset
 from .errors import ValidationError
-from .grid import DensityProfile, Thresholds, build_grid, compute_density, \
-    compute_dt, compute_rt, rt_pairs
+from .grid import DensityProfile, Pairs, Thresholds, build_grid, \
+    compute_density, compute_dt, compute_rt, rt_pairs
 from .kernel import fit_kernel, pipeline_scores, weight
 from .walls import Wall, fit_euclidean_wall, fit_manhattan_wall, fit_region_stats
 
@@ -46,10 +47,12 @@ REGION_NAMES = ("normal_core", "abnormal_region", "mixed_overlap",
 
 
 def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
-          dt: float, rt: float) -> tuple[list[np.ndarray], np.ndarray]:
+          dt: float, rt: float, pairs: Pairs | None = None
+          ) -> tuple[list[np.ndarray], np.ndarray]:
     """Cluster the given ids; see the module docstring for semantics.
 
-    stat aligns with point_ids. Returns (clusters, unassigned) with
+    stat aligns with point_ids; pairs is the rt graph over all of points,
+    rt_pairs(points, rt) by default. Returns (clusters, unassigned),
     clusters ordered by smallest member id and members ascending.
     """
     # csgraph costs about 3 MB of peak RSS; only merges need it
@@ -65,12 +68,18 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
         return [], point_ids
     if np.unique(point_ids).size != point_ids.size:
         raise ValidationError("point_ids must be unique")
+    n = points.shape[0]
+    if point_ids.min() < 0 or point_ids.max() >= n:
+        raise ValidationError("point_ids must lie in [0, N)")
+    i, j = rt_pairs(points, rt) if pairs is None else pairs
+    inside = np.zeros(n, dtype=bool)
+    inside[point_ids] = True
+    both = inside[i] & inside[j]
+    graph = sparse.coo_matrix((np.ones(both.sum()), (i[both], j[both])), shape=(n, n))
+    n_comp, comp = connected_components(graph, directed=False)
     order = np.argsort(point_ids)
     ids = point_ids[order]
-    k = ids.size
-    i, j = rt_pairs(points[ids], rt)
-    graph = sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(k, k))
-    n_comp, comp = connected_components(graph, directed=False)
+    comp = comp[ids]
     seeded = np.zeros(n_comp, dtype=bool)
     seeded[comp[stat[order] >= dt]] = True
     kept = np.flatnonzero(seeded[comp])
@@ -89,7 +98,7 @@ class SubCluster:
 
 
 def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
-                  dt: float, rt: float
+                  dt: float, rt: float, pairs: Pairs
                   ) -> tuple[list[SubCluster], list[SubCluster],
                              np.ndarray, np.ndarray]:
     """Labeled sub-clusters, conflicted ids, and the leftover pool.
@@ -102,8 +111,8 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     all_ids = np.arange(n, dtype=np.int64)
     pos = all_ids[rho > 0]
     neg = all_ids[rho < 0]
-    norm_raw, _ = merge(points, pos, rho[pos], dt, rt)
-    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt)
+    norm_raw, _ = merge(points, pos, rho[pos], dt, rt, pairs)
+    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt, pairs)
 
     def anchored(groups: list[np.ndarray], wanted: int) -> list[np.ndarray]:
         return [g for g in groups if (labels[g] == wanted).any()]
@@ -119,7 +128,7 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     conflicted = np.empty(0, dtype=np.int64)
     if norm_groups and abn_groups and remaining.size:
         # near[s, p]: p has a point of side s within rt
-        i, j = rt_pairs(points, rt)
+        i, j = pairs
         near = np.zeros((3, n), dtype=bool)
         near[side[j], i] = True
         near[side[i], j] = True
@@ -131,18 +140,18 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 
 
 def pass2_residual(points: np.ndarray, remaining: np.ndarray,
-                   n_p: np.ndarray, dt: float, rt: float
+                   n_p: np.ndarray, dt: float, rt: float, pairs: Pairs
                    ) -> tuple[list[SubCluster], np.ndarray]:
     """Unlabeled sub-clusters over the leftover pool, original densities."""
-    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt)
+    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt, pairs)
     return [SubCluster(g, "unlabeled", 2) for g in groups], unassigned
 
 
-def pass3_global(points: np.ndarray, n_p: np.ndarray, dt: float, rt: float
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
+def pass3_global(points: np.ndarray, n_p: np.ndarray, dt: float, rt: float,
+                 pairs: Pairs) -> tuple[list[np.ndarray], np.ndarray]:
     """Label-blind global clusters over all points."""
     all_ids = np.arange(points.shape[0], dtype=np.int64)
-    return merge(points, all_ids, n_p, dt, rt)
+    return merge(points, all_ids, n_p, dt, rt, pairs)
 
 
 @dataclass
@@ -195,11 +204,7 @@ def match(n: int, normal_subs: list[SubCluster], abnormal_subs: list[SubCluster]
             continue
         counts = np.bincount(hit, minlength=len(clusters))
         best = np.flatnonzero(counts == counts.max())
-        if best.size > 1:
-            big = best[sizes[best] == sizes[best].max()]
-            target = int(big.min())
-        else:
-            target = int(best[0])
+        target = int(best[sizes[best] == sizes[best].max()].min())
         kept.append(sc)
         kept_cluster.append(target)
 
@@ -295,7 +300,9 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
     rt, a_p, d_c = compute_rt(grid, pts, params.coef_rt)
     if rt <= 0:
         raise ValidationError("computed rt is zero; points are coincident")
-    n_p = compute_density(grid, pts, rt, exact=params.exact_density)
+    pairs = rt_pairs(pts, rt)
+    n_p = compute_density(grid, pts, rt, exact=params.exact_density,
+                          pairs=pairs)
     dt, n_c = compute_dt(grid, n_p, params.coef_dt, params.log_base)
     thresholds = Thresholds(rt=rt, dt=dt, coef_rt=params.coef_rt,
                             coef_dt=params.coef_dt)
@@ -308,9 +315,9 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
     rho = n_p * w
 
     normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-        pts, dataset.labels, rho, dt, rt)
-    unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt)
-    clusters, _ = pass3_global(pts, n_p, dt, rt)
+        pts, dataset.labels, rho, dt, rt, pairs)
+    unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt, pairs)
+    clusters, _ = pass3_global(pts, n_p, dt, rt, pairs)
     comp = match(dataset.n, normal_subs, abnormal_subs, unlabeled_subs,
                  clusters, conflicted)
 
@@ -335,10 +342,9 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
         inside |= wall.contains(pts)
     protected = inside & (comp.region == REGION_NORMAL_CORE)
 
-    result = ClusteringResult(composition=comp, walls=walls,
-                              wall_sub_ids=wall_sub_ids,
-                              thresholds=thresholds, profile=profile,
-                              params=params, bandwidth=clf.bandwidth,
-                              uninformative_scores=int(flags.sum()),
-                              inside_walls=inside, protected=protected)
-    return result
+    return ClusteringResult(composition=comp, walls=walls,
+                            wall_sub_ids=wall_sub_ids,
+                            thresholds=thresholds, profile=profile,
+                            params=params, bandwidth=clf.bandwidth,
+                            uninformative_scores=int(flags.sum()),
+                            inside_walls=inside, protected=protected)

@@ -24,7 +24,7 @@ BLAS threading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -152,13 +152,6 @@ class GameTables:
     stats: RegionStats
     mu_g: np.ndarray
     config: GameConfig
-    _score_wall: Wall = field(repr=False, default=None)
-
-    def wall_at(self, ih: int) -> Wall:
-        wall = Wall(kind=self.config.wall_kind, stats=self.stats,
-                    level=float(self.alphas[ih]), radius=float(self.radii[ih]),
-                    _cho=self._score_wall._cho)
-        return wall
 
 
 @dataclass
@@ -174,18 +167,12 @@ class Equilibrium:
     t_indices: tuple[int, ...]
 
 
-def _wall_scores(wall: Wall, points: np.ndarray) -> np.ndarray:
-    if wall.kind == "euclidean":
-        return wall.mahalanobis_sq(points)
-    return wall.scaled_l1(points)
-
-
 def attacker_utility(util: UtilitySpec, adversary_sample: np.ndarray,
                      mu_g: np.ndarray, t: float, wall: Wall) -> float:
     """Mean payoff over the sample; objects outside the wall pay 0."""
     moved = apply_attack(adversary_sample, mu_g, t)
     pay = util.payoff(movement_cost(adversary_sample, moved))
-    s = _wall_scores(wall, moved)
+    s = wall.score(moved)
     return float(np.where(s <= wall.radius, pay, 0.0).mean())
 
 
@@ -215,10 +202,11 @@ def build_tables(config: GameConfig) -> GameTables:
                               seed=[config.seed, 99])
         s_cal = (np.abs(cal - stats.mean) / stats.stddevs).sum(axis=1)
         radii = np.quantile(s_cal, alphas)
-    score_wall = Wall(kind=config.wall_kind, stats=stats, level=0.5,
-                      radius=float(radii[len(radii) // 2]))
+    # scores depend on the wall's kind and stats only, not on its level
+    wall = Wall(kind=config.wall_kind, stats=stats, level=float(alphas[0]),
+                radius=float(radii[0]))
 
-    s_normal = _wall_scores(score_wall, normal_sample)
+    s_normal = wall.score(normal_sample)
     normal_error = np.array([float((s_normal > r).mean()) for r in radii])
 
     attacker: list[np.ndarray] = []
@@ -230,7 +218,7 @@ def build_tables(config: GameConfig) -> GameTables:
         for it, t in enumerate(ts):
             moved = apply_attack(sample, mu_g, float(t))
             pay = util.payoff(movement_cost(sample, moved))
-            s = _wall_scores(score_wall, moved)
+            s = wall.score(moved)
             for lo in range(0, len(radii), _ALPHA_CHUNK):
                 inside = s <= radii[lo:lo + _ALPHA_CHUNK, None]
                 a_tab[it, lo:lo + _ALPHA_CHUNK] = \
@@ -240,8 +228,7 @@ def build_tables(config: GameConfig) -> GameTables:
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,
                       adv_error=adv_error, normal_error=normal_error,
-                      stats=stats, mu_g=mu_g, config=config,
-                      _score_wall=score_wall)
+                      stats=stats, mu_g=mu_g, config=config)
 
 
 def _pooled_error(tables: GameTables, t_indices, ih=None) -> np.ndarray:

@@ -13,9 +13,10 @@ visited, so the cost scales with occupied-cell pairs, not with 3^q.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
 in dimension order, float64 throughout (_sq_distances). rt_pairs is the
-one closed rt-pair kernel: a pair at exactly rt connects, and density
-here and every merge and conflict in core use it. Inputs whose squared
-distances overflow raise ValidationError (CLI exit 2).
+one closed rt-pair kernel (a pair at exactly rt connects). adclust()
+builds this graph once per call; density, pass-1 conflicts and every
+merge read it, a merge using the edges with both ends among its
+participants. Overflowing distances raise ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateGeometryError, ValidationError
 
 CellKey = tuple[int, ...]
+# Index arrays (i, j) of the closed rt graph, as rt_pairs returns them.
+Pairs = tuple[np.ndarray, np.ndarray]
 
 # Largest q * rows * neighborhood count of coordinate differences
 # compute_rt takes in one distance block, so its memory stays bounded.
@@ -199,7 +202,7 @@ def compute_rt(grid: Grid, points: np.ndarray,
     return rt, a_p, d_c
 
 
-def rt_pairs(points: np.ndarray, rt: float) -> tuple[np.ndarray, np.ndarray]:
+def rt_pairs(points: np.ndarray, rt: float) -> Pairs:
     """Index arrays of every pair i < j at distance <= rt.
 
     KD-tree candidates within rt plus a few ulps per dimension (its own
@@ -221,15 +224,15 @@ def rt_pairs(points: np.ndarray, rt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_density(grid: Grid, points: np.ndarray, rt: float,
-                    exact: bool = False) -> np.ndarray:
+                    exact: bool = False, pairs: Pairs | None = None) -> np.ndarray:
     """Point density n(p): neighborhood points within rt of p, p included.
 
-    Counts the rt_pairs partners of p in cells within Chebyshev distance
-    1 of its own. The neighborhood restriction undercounts when rt
-    exceeds the cell side; exact=True counts every partner instead
-    (validation fallback).
+    Counts p's partners in pairs (default rt_pairs(points, rt)) in cells
+    within Chebyshev distance 1 of its own. The neighborhood restriction
+    undercounts when rt exceeds the cell side; exact=True counts every
+    partner instead (validation fallback).
     """
-    i, j = rt_pairs(points, rt)
+    i, j = rt_pairs(points, rt) if pairs is None else pairs
     if not exact:
         cells = grid.cell_of_point
         near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)

@@ -112,10 +112,14 @@ class Wall:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return (np.abs(points - self.stats.mean) / self.stats.stddevs).sum(axis=1)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def score(self, points: np.ndarray) -> np.ndarray:
+        """The statistic compared against radius, by wall kind."""
         if self.kind == "euclidean":
-            return self.mahalanobis_sq(points) <= self.radius
-        return self.scaled_l1(points) <= self.radius
+            return self.mahalanobis_sq(points)
+        return self.scaled_l1(points)
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return self.score(points) <= self.radius
 
 
 def sample_gaussian(stats: RegionStats, size: int, seed) -> np.ndarray:

@@ -22,9 +22,9 @@ from adclust.game import attacker_utility, build_tables, sample_population, \
     solve_follower, solve_leader
 from adclust.grid import build_grid, compute_density, compute_dt, compute_rt
 from adclust.synthetic import game_preset, simulation_preset
-from adclust.walls import (chi2_quantile, eta_of_alpha, fit_euclidean_wall,
-                           fit_region_stats, sample_gaussian,
-                           stats_from_moments)
+from adclust.walls import (Wall, chi2_quantile, eta_of_alpha,
+                           fit_euclidean_wall, fit_region_stats,
+                           sample_gaussian, stats_from_moments)
 from conftest import oracle_merge, oracle_thresholds
 
 
@@ -194,9 +194,11 @@ def test_criterion_08_tables_match_direct_evaluation_bitwise():
             i = probe % m
             it = int(rng.integers(len(tables.ts)))
             ih = int(rng.integers(len(tables.alphas)))
+            wall = Wall(kind=config.wall_kind, stats=tables.stats,
+                        level=float(tables.alphas[ih]),
+                        radius=float(tables.radii[ih]))
             direct = attacker_utility(config.utilities[i], samples[i],
-                                      tables.mu_g, float(tables.ts[it]),
-                                      tables.wall_at(ih))
+                                      tables.mu_g, float(tables.ts[it]), wall)
             assert direct == tables.attacker[i][it, ih], (name, i, it, ih)
 
 

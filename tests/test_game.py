@@ -13,6 +13,7 @@ from adclust.game import (Equilibrium, GameConfig, PopulationSpec,
                           sample_population, solve_follower, solve_game,
                           solve_leader)
 from adclust.synthetic import game_preset
+from adclust.walls import Wall
 
 
 def small_config(family="log", a=4.0, k_max=7.0, cost_c=20.0,
@@ -24,6 +25,11 @@ def small_config(family="log", a=4.0, k_max=7.0, cost_c=20.0,
     return GameConfig(normal=normal, adversaries=[adversary],
                       utilities=[UtilitySpec(family, a=a, k_max=k_max)],
                       cost_c=cost_c, wall_kind=wall_kind, seed=seed, **kw)
+
+
+def wall_at(config, tables, ih):
+    return Wall(kind=config.wall_kind, stats=tables.stats,
+                level=float(tables.alphas[ih]), radius=float(tables.radii[ih]))
 
 
 def test_defender_utility_hand_value():
@@ -109,7 +115,8 @@ def test_attacker_utility_direct_matches_tables_bitwise():
         it = int(rng.integers(len(tables.ts)))
         ih = int(rng.integers(len(tables.alphas)))
         direct = attacker_utility(config.utilities[0], sample, tables.mu_g,
-                                  float(tables.ts[it]), tables.wall_at(ih))
+                                  float(tables.ts[it]),
+                                  wall_at(config, tables, ih))
         assert direct == tables.attacker[0][it, ih]
 
 
@@ -121,11 +128,9 @@ def test_every_table_cell_matches_direct_evaluation_bitwise(wall_kind):
     tables = build_tables(config)
     sample = sample_population(config.adversaries[0])
     for ih in range(len(tables.alphas)):
-        wall = tables.wall_at(ih)
+        wall = wall_at(config, tables, ih)
         for it, t in enumerate(tables.ts.tolist()):
-            moved = apply_attack(sample, tables.mu_g, t)
-            s = wall.mahalanobis_sq(moved) if wall_kind == "euclidean" \
-                else wall.scaled_l1(moved)
+            s = wall.score(apply_attack(sample, tables.mu_g, t))
             direct = attacker_utility(config.utilities[0], sample,
                                       tables.mu_g, t, wall)
             assert direct == tables.attacker[0][it, ih]

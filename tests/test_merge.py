@@ -6,6 +6,7 @@ import pytest
 
 from adclust.core import merge
 from adclust.errors import ValidationError
+from adclust.grid import rt_pairs
 from conftest import oracle_distance, oracle_merge
 
 
@@ -89,6 +90,12 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         merge(pts, np.array([4, 4], dtype=np.int64), np.array([1.0, 1.0]),
               dt=1.0, rt=0.5)
+    # ids outside [0, N): -1 would wrap to the last point, 7 overruns
+    four = np.array([[0.0], [1.0], [2.0], [3.0]])
+    for bad in ([3, -1], [0, 7]):
+        with pytest.raises(ValidationError, match="lie in"):
+            merge(four, np.array(bad, dtype=np.int64), np.array([1.0, 1.0]),
+                  dt=1.0, rt=1.5)
     huge = np.array([[1e200, 0.0], [-1e200, 0.0]])
     with pytest.raises(ValidationError, match="overflow"):
         merge(huge, ids(2), np.array([1.0, 1.0]), dt=1.0, rt=0.5)
@@ -111,7 +118,8 @@ def test_oracle_equivalence_seeded():
             [c.tolist() for c in expected_clusters]
         assert got_un.tolist() == expected_un.tolist()
     # exact ties: 12 lattice points (multiples of 0.1) with rt set to
-    # one pair's documented distance, which must connect
+    # one pair's documented distance, which must connect; a strict subset
+    # of ids merges over the graph of all 12 points
     for trial in range(400):
         q = int(rng.integers(2, 5))
         pts = rng.integers(-5, 6, size=(12, q)) * 0.1
@@ -119,11 +127,13 @@ def test_oracle_equivalence_seeded():
         rt = oracle_distance(pts[a], pts[b])
         if rt == 0.0:
             continue
-        point_ids = np.arange(12, dtype=np.int64)
-        stat = rng.uniform(0.0, 2.0, size=12)
+        k = int(rng.integers(1, 12))
+        point_ids = rng.choice(12, size=k, replace=False).astype(np.int64)
+        stat = rng.uniform(0.0, 2.0, size=k)
         expected_clusters, expected_un = oracle_merge(
             pts, point_ids, stat, 1.0, rt)
-        got_clusters, got_un = merge(pts, point_ids, stat, dt=1.0, rt=rt)
+        got_clusters, got_un = merge(pts, point_ids, stat, dt=1.0, rt=rt,
+                                     pairs=rt_pairs(pts, rt))
         assert [c.tolist() for c in got_clusters] == \
             [c.tolist() for c in expected_clusters]
         assert got_un.tolist() == expected_un.tolist()
