@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
@@ -50,7 +51,9 @@ _GAME_FIELDS = {
 }
 
 
-def _read_config(path: str, section: str, fields: dict) -> dict:
+def _read_config(path: str | None, section: str, fields: dict) -> dict:
+    if not path:
+        return {}
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -90,21 +93,21 @@ def _params_from_args(args, overrides: dict) -> AdclustParams:
     return AdclustParams(**fields)
 
 
+def _check_truth_rows(truth, dataset) -> None:
+    if truth is not None and truth.shape[0] != dataset.n:
+        raise ValidationError(
+            f"truth rows ({truth.shape[0]}) do not match dataset rows "
+            f"({dataset.n})")
+
+
 def _cmd_cluster(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
+    overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
     params = _params_from_args(args, overrides)
     dataset, info = ingest_csv(args.input, label_column=args.label_column,
                                label_fraction=args.label_fraction,
                                seed=params.seed)
-    truth = info.truth
-    if args.truth:
-        truth = read_truth_csv(args.truth)
-        if truth.shape[0] != dataset.n:
-            raise ValidationError(
-                f"truth rows ({truth.shape[0]}) do not match dataset rows "
-                f"({dataset.n})")
+    truth = read_truth_csv(args.truth) if args.truth else info.truth
+    _check_truth_rows(truth, dataset)
 
     start = time.perf_counter()
     result = adclust(dataset, params)
@@ -151,15 +154,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = _read_config(args.config, "game", _GAME_FIELDS)
+    overrides = _read_config(args.config, "game", _GAME_FIELDS)
     config_samples = overrides.pop("sample_size", 10_000)
     sample_size = args.samples if args.samples is not None else config_samples
-    config = game_preset(args.preset, wall_kind=args.wall, seed=args.seed,
-                         sample_size=sample_size)
-    for key, value in overrides.items():
-        setattr(config, key, value)
+    # replace() runs GameConfig's validation on the overrides too
+    config = dataclasses.replace(
+        game_preset(args.preset, wall_kind=args.wall, seed=args.seed,
+                    sample_size=sample_size), **overrides)
 
     start = time.perf_counter()
     eq, tables = solve_game(config, args.orientation)
@@ -191,6 +192,7 @@ def _sweep_run(task: dict) -> dict:
                                    label_fraction=task["label_fraction"],
                                    seed=task["seed"])
         truth = info.truth if info.truth is not None else task["truth"]
+        _check_truth_rows(truth, dataset)
         params = AdclustParams(k=task["k"], alpha=task["alpha"],
                                wall_kind=task["wall_kind"], seed=task["seed"],
                                **task["overrides"])
@@ -220,13 +222,9 @@ _SWEEP_COLUMNS = ["k", "alpha", "seed", "run", "mixed_count", "outlier_count",
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
-    overrides.pop("k", None)
-    overrides.pop("alpha", None)
-    overrides.pop("seed", None)
-    overrides.pop("wall_kind", None)
+    overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
+    for key in ("k", "alpha", "seed", "wall_kind"):  # set per grid point
+        overrides.pop(key, None)
 
     if (args.preset is None) == (args.input is None):
         raise ValidationError("exactly one of --preset / --input is required")

@@ -310,7 +310,7 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
                              density_point=n_p.astype(np.float64),
                              density_cell=n_c)
 
-    b, flags = pipeline_scores(dataset, clf, return_flags=True)
+    b, flags = pipeline_scores(dataset, clf)
     w = weight(b, params.k)
     rho = n_p * w
 

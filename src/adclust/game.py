@@ -30,8 +30,9 @@ from itertools import product
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
+from .grid import _sq_distances
 from .walls import RegionStats, Wall, chi2_quantile, fit_region_stats, \
-    sample_gaussian
+    sample_gaussian, scaled_l1_score
 
 # Radii whose payoff means build_tables takes in one (chunk, sample) array.
 _ALPHA_CHUNK = 16
@@ -97,11 +98,13 @@ def apply_attack(points: np.ndarray, mu_g: np.ndarray, t: float) -> np.ndarray:
 
 
 def movement_cost(original: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    diffs = original - moved
-    return np.sqrt((diffs * diffs).sum(axis=1))
+    """Row-wise Euclidean distance under grid.py's distance convention."""
+    return np.sqrt(_sq_distances(original.T, moved.T))
 
 
 def _grid_count(step: float) -> int:
+    if not 0.0 < step <= 1.0:
+        raise ValidationError("grid step must be in (0, 1]")
     inv = 1.0 / step
     if abs(inv - round(inv)) > 1e-9:
         raise ValidationError("grid step must divide [0, 1] evenly")
@@ -176,8 +179,8 @@ def attacker_utility(util: UtilitySpec, adversary_sample: np.ndarray,
     return float(np.where(s <= wall.radius, pay, 0.0).mean())
 
 
-def defender_utility(normal_error: float, adversary_error: float,
-                     cost_c: float) -> float:
+def defender_utility(normal_error, adversary_error, cost_c: float):
+    """Defender payoff; elementwise over arrays of errors."""
     return -100.0 * (normal_error + cost_c * adversary_error)
 
 
@@ -200,8 +203,7 @@ def build_tables(config: GameConfig) -> GameTables:
     else:
         cal = sample_gaussian(stats, config.eta_sample_size,
                               seed=[config.seed, 99])
-        s_cal = (np.abs(cal - stats.mean) / stats.stddevs).sum(axis=1)
-        radii = np.quantile(s_cal, alphas)
+        radii = np.quantile(scaled_l1_score(stats, cal), alphas)
     # scores depend on the wall's kind and stats only, not on its level
     wall = Wall(kind=config.wall_kind, stats=stats, level=float(alphas[0]),
                 radius=float(radii[0]))
@@ -231,39 +233,38 @@ def build_tables(config: GameConfig) -> GameTables:
                       stats=stats, mu_g=mu_g, config=config)
 
 
-def _pooled_error(tables: GameTables, t_indices, ih=None) -> np.ndarray:
+def _pooled_error(tables: GameTables, rows) -> np.ndarray:
     """Adversary pass rates pooled over populations, weighted by sample
-    size. With ih=None returns the whole alpha row."""
+    size; rows holds one error row per adversary."""
     sizes = np.array([s.sample_size for s in tables.config.adversaries],
                      dtype=np.float64)
-    cols = [tab[tidx] if ih is None else tab[tidx, ih]
-            for tab, tidx in zip(tables.adv_error, t_indices)]
-    return sum(w * c for w, c in zip(sizes, cols)) / sizes.sum()
+    return sum(w * r for w, r in zip(sizes, rows)) / sizes.sum()
+
+
+def _equilibrium(tables: GameTables, orientation: str, ih: int, t_idx,
+                 d_val: float) -> Equilibrium:
+    """The solvers' result at alpha index ih and per-adversary t indices."""
+    t_idx = tuple(int(j) for j in t_idx)
+    return Equilibrium(
+        orientation=orientation, wall_kind=tables.config.wall_kind,
+        alpha=float(tables.alphas[ih]), radius=float(tables.radii[ih]),
+        t=tuple(float(tables.ts[j]) for j in t_idx),
+        defender_utility=float(d_val),
+        attacker_utilities=tuple(float(tab[j, ih]) for tab, j
+                                 in zip(tables.attacker, t_idx)),
+        alpha_index=ih, t_indices=t_idx)
 
 
 def solve_leader(tables: GameTables) -> Equilibrium:
     """Defender commits to alpha; attackers best-respond independently."""
-    config = tables.config
-    m = len(config.adversaries)
-    n_alpha = len(tables.alphas)
-    best_t = np.empty((m, n_alpha), dtype=np.int64)
-    for i in range(m):
-        best_t[i] = tables.attacker[i].argmax(axis=0)
-    d_vals = np.empty(n_alpha)
-    for ih in range(n_alpha):
-        pooled = _pooled_error(tables, best_t[:, ih], ih)
-        d_vals[ih] = defender_utility(float(tables.normal_error[ih]),
-                                      float(pooled), config.cost_c)
+    best_t = np.array([tab.argmax(axis=0) for tab in tables.attacker])
+    cols = np.arange(len(tables.alphas))
+    pooled = _pooled_error(tables, [tab[t, cols] for tab, t
+                                    in zip(tables.adv_error, best_t)])
+    d_vals = defender_utility(tables.normal_error, pooled,
+                              tables.config.cost_c)
     ih = int(d_vals.argmax())
-    t_idx = tuple(int(best_t[i, ih]) for i in range(m))
-    return Equilibrium(
-        orientation="leader", wall_kind=config.wall_kind,
-        alpha=float(tables.alphas[ih]), radius=float(tables.radii[ih]),
-        t=tuple(float(tables.ts[j]) for j in t_idx),
-        defender_utility=float(d_vals[ih]),
-        attacker_utilities=tuple(float(tables.attacker[i][t_idx[i], ih])
-                                 for i in range(m)),
-        alpha_index=ih, t_indices=t_idx)
+    return _equilibrium(tables, "leader", ih, best_t[:, ih], d_vals[ih])
 
 
 def solve_follower(tables: GameTables) -> Equilibrium:
@@ -283,26 +284,19 @@ def solve_follower(tables: GameTables) -> Equilibrium:
     if len(t_indices) ** m > config.joint_budget:
         raise GridBudgetError("grid budget exceeded; increase step")
 
-    c = config.cost_c
     best = None
     for combo in product(t_indices, repeat=m):
-        pooled = _pooled_error(tables, combo)
-        d_row = -100.0 * (tables.normal_error + c * pooled)
+        pooled = _pooled_error(tables, [tab[j] for tab, j
+                                        in zip(tables.adv_error, combo)])
+        d_row = defender_utility(tables.normal_error, pooled, config.cost_c)
         ih = int(d_row.argmax())
         score = math.fsum(tables.attacker[i][combo[i], ih] for i in range(m))
         sum_t = math.fsum(tables.ts[j] for j in combo)
         key = (score, -sum_t, -ih, tuple(-j for j in combo))
         if best is None or key > best[0]:
-            best = (key, combo, ih, score, float(d_row[ih]))
-    _, combo, ih, score, d_val = best
-    return Equilibrium(
-        orientation="follower", wall_kind=config.wall_kind,
-        alpha=float(tables.alphas[ih]), radius=float(tables.radii[ih]),
-        t=tuple(float(tables.ts[j]) for j in combo),
-        defender_utility=d_val,
-        attacker_utilities=tuple(float(tables.attacker[i][combo[i], ih])
-                                 for i in range(m)),
-        alpha_index=ih, t_indices=tuple(int(j) for j in combo))
+            best = (key, combo, ih, d_row[ih])
+    _, combo, ih, d_val = best
+    return _equilibrium(tables, "follower", ih, combo, d_val)
 
 
 def solve_game(config: GameConfig, orientation: str,

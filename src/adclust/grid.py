@@ -12,11 +12,14 @@ distance 1 of it, itself included. Only occupied cells are ever
 visited, so the cost scales with occupied-cell pairs, not with 3^q.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
-in dimension order, float64 throughout (_sq_distances). rt_pairs is the
-one closed rt-pair kernel (a pair at exactly rt connects). adclust()
-builds this graph once per call; density, pass-1 conflicts and every
-merge read it, a merge using the edges with both ends among its
-participants. Overflowing distances raise ValidationError (CLI exit 2).
+in dimension order, float64 throughout (_sq_distances, the package's only
+squared distance; kernel.py and the game's movement cost use it too).
+_sq_distance_blocks yields many-to-many blocks in chunks of the one
+_BLOCK_ELEMENTS budget. rt_pairs is the one closed rt-pair kernel (a
+pair at exactly rt connects). adclust() builds this graph once per call;
+density, pass-1 conflicts and every merge read it, a merge using the
+edges with both ends among its participants. Overflowing distances
+raise ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -32,8 +35,8 @@ CellKey = tuple[int, ...]
 # Index arrays (i, j) of the closed rt graph, as rt_pairs returns them.
 Pairs = tuple[np.ndarray, np.ndarray]
 
-# Largest q * rows * neighborhood count of coordinate differences
-# compute_rt takes in one distance block, so its memory stays bounded.
+# Largest q * rows * columns of coordinate differences one distance
+# block takes, so its memory stays bounded.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -104,6 +107,14 @@ def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sq *= sq
         total += sq
     return total
+
+
+def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (lo, squared distances of points lo:lo + step of a to every
+    point of b), a and b dimension-major, each chunk in _BLOCK_ELEMENTS."""
+    step = max(1, _BLOCK_ELEMENTS // max(b.size, 1))
+    for lo in range(0, a.shape[1], step):
+        yield lo, _sq_distances(a[:, lo:lo + step, None], b[:, None, :])
 
 
 def _check_extent(points: np.ndarray) -> None:
@@ -188,13 +199,10 @@ def compute_rt(grid: Grid, points: np.ndarray,
     d_c: dict[CellKey, float] = {}
     for key, nb in live:
         members = grid.cells[key]
-        block = cols[:, None, nb]
-        step = max(1, _BLOCK_ELEMENTS // (q * nb.size))
         a_vals = []
-        for lo in range(0, members.size, step):
-            rows = members[lo:lo + step]
-            dists = np.sqrt(_sq_distances(cols[:, rows, None], block))
-            for p, dist in zip(rows.tolist(), dists):
+        for lo, sq in _sq_distance_blocks(cols[:, members], cols[:, nb]):
+            rows = members[lo:lo + sq.shape[0]]
+            for p, dist in zip(rows.tolist(), np.sqrt(sq)):
                 a_p[p] = _fmean(dist[nb != p].tolist())
                 a_vals.append(a_p[p])
         d_c[key] = _fmean(a_vals)

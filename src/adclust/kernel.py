@@ -3,8 +3,10 @@
 The classifier is a Nadaraya-Watson regressor over the handful of
 labeled points: b(p) = sum_i y_i K(p, x_i) / sum_i K(p, x_i) with
 K(p, x) = exp(-||p - x||^2 / (2 bandwidth^2)) and y = 1 for normal,
-0 for abnormal. Kernel sums use math.fsum, so scores do not depend on
-the order of the labeled points.
+0 for abnormal. ||p - x|| and the default bandwidth follow grid.py's
+distance convention (squared differences summed in dimension order).
+Kernel sums use math.fsum, so scores do not depend on the order of the
+labeled points.
 """
 from __future__ import annotations
 
@@ -15,11 +17,9 @@ import numpy as np
 
 from .dataset import LABEL_NONE, Dataset
 from .errors import InsufficientLabelsError, ValidationError
+from .grid import _sq_distance_blocks
 
 BANDWIDTH_FLOOR = 1e-12
-# Largest rows * labeled * q block of coordinate differences score
-# builds at once, so its memory stays bounded.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -33,10 +33,9 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     n = points.shape[0]
     if n < 2:
         raise ValidationError("need at least two points for a pairwise median")
-    dists = []
-    for i in range(n - 1):
-        diffs = points[i + 1:] - points[i]
-        dists.append(np.sqrt((diffs * diffs).sum(axis=1)))
+    ids = np.arange(n)
+    dists = [np.sqrt(sq[ids > ids[lo:lo + sq.shape[0], None]])
+             for lo, sq in _sq_distance_blocks(points.T, points.T)]
     return float(np.median(np.concatenate(dists)))
 
 
@@ -62,34 +61,27 @@ def fit_kernel(dataset: Dataset, bandwidth: float | None = None) -> KernelClassi
                             bandwidth=bandwidth)
 
 
-def score(clf: KernelClassifier, points: np.ndarray,
-          return_flags: bool = False):
-    """Class scores b in [0, 1]; 1 leans normal.
+def score(clf: KernelClassifier,
+          points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class scores b in [0, 1] (1 leans normal) and the uninformative mask.
 
     Points whose kernel row underflows to zero against every labeled
-    point get the uninformative score 0.5; return_flags=True also
-    returns that mask.
+    point get the uninformative score 0.5 and a True flag.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     denom2 = 2.0 * clf.bandwidth * clf.bandwidth
-    labeled = clf.labeled_points
     m = points.shape[0]
     b = np.empty(m)
     flat = np.zeros(m, dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // max(labeled.size, 1))
-    for lo in range(0, m, step):
-        diffs = points[lo:lo + step, None, :] - labeled[None, :, :]
-        k = np.exp(-(diffs * diffs).sum(axis=2) / denom2)
-        for i, row in enumerate(k, start=lo):
+    for lo, sq in _sq_distance_blocks(points.T, clf.labeled_points.T):
+        for i, row in enumerate(np.exp(-sq / denom2), start=lo):
             den = math.fsum(row.tolist())
             if den == 0.0:
                 b[i] = 0.5
                 flat[i] = True
             else:
                 b[i] = math.fsum((row * clf.labels01).tolist()) / den
-    if return_flags:
-        return b, flat
-    return b
+    return b, flat
 
 
 def weight(b: np.ndarray, k: float) -> np.ndarray:
@@ -99,9 +91,10 @@ def weight(b: np.ndarray, k: float) -> np.ndarray:
     return k * (2.0 * np.asarray(b, dtype=np.float64) - 1.0)
 
 
-def pipeline_scores(dataset: Dataset, clf: KernelClassifier,
-                    return_flags: bool = False):
-    """Scores for a whole dataset: labeled points keep their label as b.
+def pipeline_scores(dataset: Dataset,
+                    clf: KernelClassifier) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and uninformative flags for a whole dataset: labeled points
+    keep their label as b and are never flagged.
 
     Only unlabeled points are pushed through the kernel; a labeled
     point's class is already known, so its score is pinned to 1 or 0.
@@ -112,9 +105,5 @@ def pipeline_scores(dataset: Dataset, clf: KernelClassifier,
     b[labeled] = dataset.labels[labeled].astype(np.float64)
     unlabeled = np.flatnonzero(~labeled)
     if unlabeled.size:
-        bu, fu = score(clf, dataset.points[unlabeled], return_flags=True)
-        b[unlabeled] = bu
-        flags[unlabeled] = fu
-    if return_flags:
-        return b, flags
-    return b
+        b[unlabeled], flags[unlabeled] = score(clf, dataset.points[unlabeled])
+    return b, flags

@@ -2,10 +2,11 @@
 
 A Euclidean wall contains x when the squared Mahalanobis distance to the
 region mean is at most the chi-square quantile of the target level. A
-Manhattan wall contains x when sum_i |x_i - mean_i| / std_i is at most
-eta(alpha), a level calibrated by Monte Carlo so a Gaussian fitted to
-the region puts probability alpha inside the diamond. Containment is
-closed (boundary points count as inside).
+Manhattan wall contains x when its scaled-L1 score sum_i |x_i - mean_i|
+/ std_i (scaled_l1_score, the one copy that walls, eta_of_alpha and the
+game's radii all use) is at most eta(alpha), a level calibrated by Monte
+Carlo so a Gaussian fitted to the region puts probability alpha inside
+the diamond. Containment is closed (boundary points count as inside).
 """
 from __future__ import annotations
 
@@ -50,22 +51,34 @@ def fit_region_stats(points: np.ndarray) -> RegionStats:
 
 
 def stats_from_moments(mean, covariance, member_count: int = 0) -> RegionStats:
-    """RegionStats from explicit moments, same ridge policy as a fit."""
+    """RegionStats from explicit moments, same ridge policy as a fit;
+    non-finite moments or a covariance indefinite past the ridge raise."""
     mean = np.asarray(mean, dtype=np.float64)
     cov = np.asarray(covariance, dtype=np.float64)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ValidationError("covariance shape must match the mean")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValidationError("mean and covariance must be finite")
     cov = 0.5 * (cov + cov.T)
     q = mean.size
     trace = float(np.trace(cov))
     eps = RIDGE_SCALE * trace / q if trace > 0 else ABS_RIDGE
     ridged = False
-    if float(np.linalg.eigvalsh(cov).min()) < eps:
+    lowest = float(np.linalg.eigvalsh(cov).min())
+    if lowest + eps <= 0.0:
+        raise ValidationError("covariance is indefinite beyond the ridge")
+    if lowest < eps:
         cov = cov + eps * np.eye(q)
         ridged = True
     return RegionStats(mean=mean, covariance=cov,
                        stddevs=np.sqrt(np.diag(cov)),
                        member_count=member_count, ridged=ridged)
+
+
+def scaled_l1_score(stats: RegionStats, points: np.ndarray) -> np.ndarray:
+    """Per-row sum_i |x_i - mean_i| / std_i, the Manhattan wall's score."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return (np.abs(points - stats.mean) / stats.stddevs).sum(axis=1)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:
@@ -109,8 +122,7 @@ class Wall:
         return np.einsum("ij,ij->j", diffs, solved, optimize=False)
 
     def scaled_l1(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return (np.abs(points - self.stats.mean) / self.stats.stddevs).sum(axis=1)
+        return scaled_l1_score(self.stats, points)
 
     def score(self, points: np.ndarray) -> np.ndarray:
         """The statistic compared against radius, by wall kind."""
@@ -139,8 +151,7 @@ def eta_of_alpha(stats: RegionStats, alpha: float,
     if sample_size < 2:
         raise ValidationError("sample_size must be at least 2")
     draws = sample_gaussian(stats, sample_size, seed)
-    s = (np.abs(draws - stats.mean) / stats.stddevs).sum(axis=1)
-    return float(np.quantile(s, alpha))
+    return float(np.quantile(scaled_l1_score(stats, draws), alpha))
 
 
 def fit_euclidean_wall(stats: RegionStats, alpha: float) -> Wall:

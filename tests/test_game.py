@@ -253,6 +253,10 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         GameConfig(normal=normal, adversaries=[adv], utilities=[util],
                    cost_c=1.0, alpha_step=0.03)
+    for step in (0.0, -0.5, 2.0):
+        with pytest.raises(ValidationError, match="grid step"):
+            GameConfig(normal=normal, adversaries=[adv], utilities=[util],
+                       cost_c=1.0, t_step=step)
     with pytest.raises(ValidationError):
         PopulationSpec(mean=(0.0,), cov=((1.0,),), sample_size=1)
     with pytest.raises(ValidationError):

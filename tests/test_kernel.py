@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle_distance
 
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
@@ -35,14 +36,14 @@ def test_default_bandwidth_is_labeled_median():
 def test_midpoint_score_is_half():
     ds = make_dataset([[-1.0, 0.0], [1.0, 0.0]], [1, 0])
     clf = fit_kernel(ds, bandwidth=0.7)
-    b = score(clf, np.array([[0.0, 0.0]]))
+    b, _ = score(clf, np.array([[0.0, 0.0]]))
     assert b[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_score_leans_toward_nearer_label():
     ds = make_dataset([[0.0], [10.0]], [1, 0])
     clf = fit_kernel(ds, bandwidth=3.0)
-    b = score(clf, np.array([[1.0], [9.0]]))
+    b, _ = score(clf, np.array([[1.0], [9.0]]))
     assert b[0] > 0.5 > b[1]
     assert 0.0 <= b.min() and b.max() <= 1.0
 
@@ -54,8 +55,8 @@ def test_label_flip_antisymmetry():
     probes = rng.normal(size=(20, 2)) * 2.0
     clf = fit_kernel(make_dataset(pts, labels), bandwidth=0.9)
     flipped = fit_kernel(make_dataset(pts, 1 - labels), bandwidth=0.9)
-    b = score(clf, probes)
-    b2 = score(flipped, probes)
+    b, _ = score(clf, probes)
+    b2, _ = score(flipped, probes)
     np.testing.assert_allclose(b + b2, 1.0, atol=1e-12)
 
 
@@ -67,13 +68,13 @@ def test_score_order_invariant_over_labels():
     clf = fit_kernel(make_dataset(pts, labels), bandwidth=1.1)
     perm = rng.permutation(12)
     clf2 = fit_kernel(make_dataset(pts[perm], labels[perm]), bandwidth=1.1)
-    np.testing.assert_array_equal(score(clf, probes), score(clf2, probes))
+    np.testing.assert_array_equal(score(clf, probes)[0], score(clf2, probes)[0])
 
 
 def test_underflow_gives_uninformative_half():
     ds = make_dataset([[0.0], [1.0]], [1, 0])
     clf = fit_kernel(ds, bandwidth=1e-3)
-    b, flat = score(clf, np.array([[1e6]]), return_flags=True)
+    b, flat = score(clf, np.array([[1e6]]))
     assert b[0] == 0.5
     assert flat[0]
 
@@ -107,11 +108,11 @@ def test_weight_formula_and_range():
 def test_pipeline_scores_pin_labels():
     ds = make_dataset([[0.0], [1.0], [0.4]], [1, 0, -1])
     clf = fit_kernel(ds, bandwidth=0.5)
-    b = pipeline_scores(ds, clf)
+    b, _ = pipeline_scores(ds, clf)
     assert b[0] == 1.0
     assert b[1] == 0.0
     assert 0.0 < b[2] < 1.0
-    direct = score(clf, ds.points[2:])
+    direct, _ = score(clf, ds.points[2:])
     assert b[2] == direct[0]
 
 
@@ -122,5 +123,41 @@ def test_score_matches_hand_formula():
     x = 0.5
     k0 = math.exp(-(x - 0.0) ** 2 / (2 * h * h))
     k1 = math.exp(-(x - 2.0) ** 2 / (2 * h * h))
-    b = score(clf, np.array([[x]]))
+    b, _ = score(clf, np.array([[x]]))
     assert b[0] == pytest.approx(k0 / (k0 + k1), rel=1e-15)
+
+
+def oracle_score(clf, probe) -> float:
+    """b(probe) with squared differences summed in dimension order by a
+    pure-Python loop, numpy's exp on the kernel row and fsum means."""
+    sq = []
+    for x in clf.labeled_points.tolist():
+        total = 0.0
+        for u, v in zip(probe.tolist(), x):
+            total += (u - v) * (u - v)
+        sq.append(total)
+    row = np.exp(-np.array(sq) / (2.0 * clf.bandwidth * clf.bandwidth))
+    den = math.fsum(row.tolist())
+    if den == 0.0:
+        return 0.5
+    return math.fsum((row * clf.labels01).tolist()) / den
+
+
+@pytest.mark.parametrize("q", [2, 8, 9])
+def test_score_matches_dimension_order_oracle_bitwise(q):
+    rng = np.random.default_rng(q)
+    scales = rng.uniform(0.1, 10.0, size=q)
+    pts = rng.normal(size=(16, q)) * scales
+    labels = np.array([1, 0] * 8, dtype=np.int8)
+    probes = rng.normal(size=(60, q)) * scales
+    clf = fit_kernel(make_dataset(pts, labels))
+    b, _ = score(clf, probes)
+    assert b.tolist() == [oracle_score(clf, p) for p in probes]
+
+
+def test_median_pairwise_matches_oracle_distance_at_q9():
+    rng = np.random.default_rng(19)
+    pts = rng.normal(size=(31, 9)) * rng.uniform(0.1, 10.0, size=9)
+    dists = [oracle_distance(pts[i], pts[j])
+             for i in range(31) for j in range(i + 1, 31)]
+    assert median_pairwise_distance(pts) == float(np.median(dists))

@@ -126,6 +126,10 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
     assert run_cluster(csv_path, tmp_path / "o3",
                        ("--truth", str(short_truth))) == 2
     assert "do not match" in capsys.readouterr().err
+    assert main(["sweep", "--kind", "weight", "--input", csv_path,
+                 "--truth", str(short_truth),
+                 "--out", str(tmp_path / "o5")]) == 2
+    assert "do not match" in capsys.readouterr().err
 
     # finite values whose squared distances overflow
     huge = tmp_path / "huge.csv"
@@ -221,6 +225,17 @@ def test_game_cli_config_section(tmp_path):
     assert report["config"]["cost_c"] == 5.0
 
 
+@pytest.mark.parametrize("line", ["cost_c = -5", "alpha_step = 0"])
+def test_game_cli_validates_config_values(tmp_path, capsys, line):
+    config = tmp_path / "g.ini"
+    config.write_text(f"[game]\nsample_size = 50\n{line}\n")
+    assert main(["game", "--preset", "one_adv_log", "--orientation",
+                 "leader", "--config", str(config),
+                 "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "g" / "report.json").exists()
+
+
 def test_sweep_matches_across_worker_counts(tmp_path):
     csv_path = blob_csv(tmp_path / "d.csv")
     config = tmp_path / "sweep.ini"
@@ -280,3 +295,11 @@ def test_eta_cli_rejects_bad_stats_files(tmp_path):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"mean": [0.0]}))
     assert main(["eta", "--alpha", "0.8", "--stats", str(partial)]) == 2
+    indefinite = tmp_path / "indefinite.json"
+    indefinite.write_text(json.dumps(
+        {"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, -1.0]]}))
+    assert main(["eta", "--alpha", "0.8", "--stats", str(indefinite)]) == 2
+    nan_mean = tmp_path / "nan_mean.json"
+    nan_mean.write_text(json.dumps(
+        {"mean": [float("nan"), 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert main(["eta", "--alpha", "0.8", "--stats", str(nan_mean)]) == 2
