@@ -186,12 +186,13 @@ def _sweep_run(task: dict) -> dict:
         dataset, truth, params = simulation_preset(
             task["preset"], seed=task["seed"], k=task["k"],
             alpha=task["alpha"], wall_kind=task["wall_kind"])
+        params = dataclasses.replace(params, **task["overrides"])
     else:
         dataset, info = ingest_csv(task["input"],
                                    label_column=task["label_column"],
                                    label_fraction=task["label_fraction"],
                                    seed=task["seed"])
-        truth = info.truth if info.truth is not None else task["truth"]
+        truth = info.truth if task["truth"] is None else task["truth"]
         _check_truth_rows(truth, dataset)
         params = AdclustParams(k=task["k"], alpha=task["alpha"],
                                wall_kind=task["wall_kind"], seed=task["seed"],
@@ -228,6 +229,9 @@ def _cmd_sweep(args) -> int:
 
     if (args.preset is None) == (args.input is None):
         raise ValidationError("exactly one of --preset / --input is required")
+    if args.preset and (args.truth or args.label_fraction is not None):
+        raise ValidationError("--truth and --label-fraction need --input; "
+                              "a preset brings its own truth and labels")
     truth = None
     if args.truth:
         truth = read_truth_csv(args.truth)

@@ -287,10 +287,9 @@ class ClusteringResult:
 def adclust(dataset: Dataset, params: AdclustParams | None = None) -> ClusteringResult:
     """Run thresholds, kernel weighting, three merges, match, and walls.
 
-    One wall is fitted per normal region with at least
-    max(2, min_wall_size) members, at level alpha. inside_walls marks the
-    points inside any wall; the protected set is the normal core among
-    them.
+    One wall is fitted per normal region with at least min_wall_size
+    members, at level alpha. inside_walls marks the points inside any
+    wall; the protected set is the normal core among them.
     """
     params = params or AdclustParams()
     pts = dataset.points
@@ -304,8 +303,7 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
     n_p = compute_density(grid, pts, rt, exact=params.exact_density,
                           pairs=pairs)
     dt, n_c = compute_dt(grid, n_p, params.coef_dt, params.log_base)
-    thresholds = Thresholds(rt=rt, dt=dt, coef_rt=params.coef_rt,
-                            coef_dt=params.coef_dt)
+    thresholds = Thresholds(rt=rt, dt=dt)
     profile = DensityProfile(avg_dist_point=a_p, avg_dist_cell=d_c,
                              density_point=n_p.astype(np.float64),
                              density_cell=n_c)
@@ -323,9 +321,8 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
 
     walls: list[Wall] = []
     wall_sub_ids: list[int] = []
-    min_size = max(2, params.min_wall_size)
     for idx, sc in enumerate(comp.sub_clusters):
-        if sc.class_tag != "normal" or sc.members.size < min_size:
+        if sc.class_tag != "normal" or sc.members.size < params.min_wall_size:
             continue
         stats = fit_region_stats(pts[sc.members])
         if params.wall_kind == "euclidean":

@@ -4,9 +4,10 @@ contraction attackers.
 An attacker of strength t moves each object X to mu_g + (1 - t)(X -
 mu_g), paying the Euclidean movement cost. The defender fits a wall on
 its normal sample at level alpha. Utilities are sample means under
-common random numbers: one fixed draw per population, reused for every
-strategy pair, precomputed into per-adversary tables over the (t, alpha)
-lattice. Both solvers run plain grid search over those tables:
+common random numbers: one fixed draw per population (walls.sample_gaussian,
+which also draws the Manhattan radii through eta_of_alpha), reused for
+every strategy pair, precomputed into per-adversary tables over the
+(t, alpha) lattice. Both solvers run plain grid search over those tables:
 
 - leader: the defender commits to alpha; each attacker best-responds in
   t; the defender picks the alpha maximizing its utility given those
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import GridBudgetError, ValidationError
 from .grid import _sq_distances
-from .walls import RegionStats, Wall, chi2_quantile, fit_region_stats, \
-    sample_gaussian, scaled_l1_score
+from .walls import RegionStats, Wall, chi2_quantile, eta_of_alpha, \
+    fit_region_stats, sample_gaussian
 
 # Radii whose payoff means build_tables takes in one (chunk, sample) array.
 _ALPHA_CHUNK = 16
@@ -79,15 +80,6 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.sample_size < 2:
             raise ValidationError("sample_size must be at least 2")
-
-
-def sample_population(spec: PopulationSpec) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    mean = np.asarray(spec.mean, dtype=np.float64)
-    cov = np.asarray(spec.cov, dtype=np.float64)
-    ell = np.linalg.cholesky(cov)
-    z = rng.standard_normal((spec.sample_size, mean.size))
-    return mean + z @ ell.T
 
 
 def apply_attack(points: np.ndarray, mu_g: np.ndarray, t: float) -> np.ndarray:
@@ -186,7 +178,9 @@ def defender_utility(normal_error, adversary_error, cost_c: float):
 
 def build_tables(config: GameConfig) -> GameTables:
     """Sample the populations once and fill every lattice cell."""
-    normal_sample = sample_population(config.normal)
+    normal = config.normal
+    normal_sample = sample_gaussian(normal.mean, normal.cov,
+                                    normal.sample_size, normal.seed)
     stats = fit_region_stats(normal_sample)
     mu_g = stats.mean
 
@@ -201,9 +195,8 @@ def build_tables(config: GameConfig) -> GameTables:
         q = mu_g.size
         radii = np.array([chi2_quantile(q, a) for a in alphas])
     else:
-        cal = sample_gaussian(stats, config.eta_sample_size,
-                              seed=[config.seed, 99])
-        radii = np.quantile(scaled_l1_score(stats, cal), alphas)
+        radii = eta_of_alpha(stats, alphas, config.eta_sample_size,
+                             seed=[config.seed, 99])
     # scores depend on the wall's kind and stats only, not on its level
     wall = Wall(kind=config.wall_kind, stats=stats, level=float(alphas[0]),
                 radius=float(radii[0]))
@@ -214,7 +207,8 @@ def build_tables(config: GameConfig) -> GameTables:
     attacker: list[np.ndarray] = []
     adv_error: list[np.ndarray] = []
     for spec, util in zip(config.adversaries, config.utilities):
-        sample = sample_population(spec)
+        sample = sample_gaussian(spec.mean, spec.cov, spec.sample_size,
+                                 spec.seed)
         a_tab = np.empty((n_t, len(alphas)))
         e_tab = np.empty((n_t, len(alphas)))
         for it, t in enumerate(ts):

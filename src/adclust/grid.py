@@ -45,36 +45,19 @@ class Grid:
     """Section assignment of a point set.
 
     sections: m, the section count per dimension (same for every
-    dimension). Dimensions with zero width collapse to section 0 and are
-    flagged degenerate; they never restrict a neighborhood.
+    dimension). Dimensions with zero width collapse to section 0; they
+    never restrict a neighborhood.
     """
 
     sections: int
-    mins: np.ndarray
-    widths: np.ndarray
     cell_of_point: np.ndarray
     cells: dict[CellKey, np.ndarray]
-    degenerate_dims: np.ndarray
-
-    @property
-    def min_cell_side(self) -> float:
-        """Smallest nonzero cell side; inf if every dimension is degenerate."""
-        live = self.widths[~self.degenerate_dims]
-        return float(live.min()) if live.size else math.inf
 
 
 @dataclass
 class Thresholds:
     rt: float
     dt: float
-    coef_rt: float
-    coef_dt: float
-
-    def __post_init__(self) -> None:
-        if self.coef_rt <= 0 or self.coef_dt <= 0:
-            raise ValidationError("threshold coefficients must be positive")
-        if self.rt < 0 or self.dt < 0:
-            raise ValidationError("thresholds must be nonnegative")
 
 
 @dataclass
@@ -155,8 +138,7 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     for i, key in enumerate(map(tuple, idx.tolist())):
         cells.setdefault(key, []).append(i)
     packed = {k: np.array(v, dtype=np.int64) for k, v in cells.items()}
-    return Grid(sections=m, mins=mins, widths=widths, cell_of_point=idx,
-                cells=packed, degenerate_dims=degenerate)
+    return Grid(sections=m, cell_of_point=idx, cells=packed)
 
 
 def _neighborhoods(grid: Grid) -> tuple[list[CellKey], list[np.ndarray]]:

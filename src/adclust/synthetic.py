@@ -1,8 +1,9 @@
 """Gaussian mixture generators and the bundled experiment presets.
 
 Every random draw derives from a per-component seed sequence
-([seed, component] for points, [seed, 101, class] for label retention),
-so a preset regenerates byte-identically for a given seed.
+([seed, component] for points, drawn by walls.sample_gaussian; [seed,
+101, class] for label retention), so a preset regenerates
+byte-identically for a given seed.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .core import AdclustParams
 from .dataset import LABEL_ABNORMAL, LABEL_NONE, LABEL_NORMAL, TRUTH_UNKNOWN, Dataset
 from .errors import ValidationError
 from .game import GameConfig, PopulationSpec, UtilitySpec
+from .walls import sample_gaussian
 
 _CLASS_CODE = {"normal": LABEL_NORMAL, "abnormal": LABEL_ABNORMAL,
                "unknown": TRUTH_UNKNOWN}
@@ -80,12 +82,8 @@ def generate(spec: MixtureSpec) -> tuple[Dataset, np.ndarray]:
     blocks = []
     truth_parts = []
     for idx, comp in enumerate(spec.components):
-        rng = np.random.default_rng([spec.seed, idx])
-        mean = np.asarray(comp.mean, dtype=np.float64)
-        cov = np.asarray(comp.cov, dtype=np.float64)
-        ell = np.linalg.cholesky(cov)
-        z = rng.standard_normal((comp.count, mean.size))
-        blocks.append(mean + z @ ell.T)
+        blocks.append(sample_gaussian(comp.mean, comp.cov, comp.count,
+                                      [spec.seed, idx]))
         truth_parts.append(np.full(comp.count, _CLASS_CODE[comp.class_tag],
                                    dtype=np.int8))
     points = np.vstack(blocks)

@@ -3,17 +3,21 @@
 A Euclidean wall contains x when the squared Mahalanobis distance to the
 region mean is at most the chi-square quantile of the target level. A
 Manhattan wall contains x when its scaled-L1 score sum_i |x_i - mean_i|
-/ std_i (scaled_l1_score, the one copy that walls, eta_of_alpha and the
-game's radii all use) is at most eta(alpha), a level calibrated by Monte
-Carlo so a Gaussian fitted to the region puts probability alpha inside
-the diamond. Containment is closed (boundary points count as inside).
+/ std_i (scaled_l1_score) is at most eta(alpha), a level calibrated by
+Monte Carlo so a Gaussian fitted to the region puts probability alpha
+inside the diamond. Containment is closed (boundary points count as
+inside).
+
+sample_gaussian, default_rng(seed) normals times the Cholesky factor
+plus the mean, is the package's only Gaussian sampler: it draws the
+Manhattan calibration, the game's populations and synthetic mixtures.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaincinv
 
 from .errors import DegenerateRegionError, ValidationError
@@ -134,24 +138,28 @@ class Wall:
         return self.score(points) <= self.radius
 
 
-def sample_gaussian(stats: RegionStats, size: int, seed) -> np.ndarray:
-    """Cholesky draws from N(mean, covariance)."""
-    rng = np.random.default_rng(seed)
-    ell = cholesky(stats.covariance, lower=True)
-    z = rng.standard_normal((size, stats.mean.size))
-    return stats.mean + z @ ell.T
+def sample_gaussian(mean, cov, size: int, seed) -> np.ndarray:
+    """size draws from N(mean, cov): default_rng(seed) standard normals
+    times the lower Cholesky factor of cov, plus mean."""
+    mean = np.asarray(mean, dtype=np.float64)
+    ell = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
+    z = np.random.default_rng(seed).standard_normal((size, mean.size))
+    return mean + z @ ell.T
 
 
-def eta_of_alpha(stats: RegionStats, alpha: float,
-                 sample_size: int = 100_000, seed=0) -> float:
+def eta_of_alpha(stats: RegionStats, alpha, sample_size: int = 100_000,
+                 seed=0):
     """Manhattan level eta(alpha): the empirical alpha-quantile of
-    s(x) = sum_i |x_i - mean_i| / std_i over Gaussian draws."""
-    if not 0.0 < alpha < 1.0:
+    s(x) = sum_i |x_i - mean_i| / std_i over one Gaussian draw. alpha may
+    be an array of levels (an array back) or one level (a float back)."""
+    levels = np.asarray(alpha, dtype=np.float64)
+    if not ((levels > 0.0) & (levels < 1.0)).all():
         raise ValidationError("alpha must be in (0, 1)")
     if sample_size < 2:
         raise ValidationError("sample_size must be at least 2")
-    draws = sample_gaussian(stats, sample_size, seed)
-    return float(np.quantile(scaled_l1_score(stats, draws), alpha))
+    draws = sample_gaussian(stats.mean, stats.covariance, sample_size, seed)
+    eta = np.quantile(scaled_l1_score(stats, draws), alpha)
+    return float(eta) if np.ndim(alpha) == 0 else eta
 
 
 def fit_euclidean_wall(stats: RegionStats, alpha: float) -> Wall:

@@ -18,8 +18,8 @@ from adclust.cli import main
 from adclust.core import (REGION_ABNORMAL, REGION_NORMAL_CORE,
                           REGION_UNKNOWN, adclust, merge)
 from adclust.dataset import Dataset, write_csv
-from adclust.game import attacker_utility, build_tables, sample_population, \
-    solve_follower, solve_leader
+from adclust.game import attacker_utility, build_tables, solve_follower, \
+    solve_leader
 from adclust.grid import build_grid, compute_density, compute_dt, compute_rt
 from adclust.synthetic import game_preset, simulation_preset
 from adclust.walls import (Wall, chi2_quantile, eta_of_alpha,
@@ -140,10 +140,10 @@ def test_criterion_05_mixed_plus_outliers_shrink_with_weight():
 
 
 def test_criterion_06_wall_coverage_and_closed_forms():
-    stats = fit_region_stats(sample_gaussian(
-        stats_from_moments([1.0, -2.0], [[1.5, 0.4], [0.4, 1.0]]),
-        300, seed=61))
-    fresh = sample_gaussian(stats, 10_000, seed=62)
+    base = stats_from_moments([1.0, -2.0], [[1.5, 0.4], [0.4, 1.0]])
+    stats = fit_region_stats(sample_gaussian(base.mean, base.covariance,
+                                             300, seed=61))
+    fresh = sample_gaussian(stats.mean, stats.covariance, 10_000, seed=62)
     for alpha in (0.6, 0.8, 0.95):
         wall = fit_euclidean_wall(stats, alpha)
         assert abs(wall.contains(fresh).mean() - alpha) <= 0.02
@@ -188,7 +188,8 @@ def test_criterion_08_tables_match_direct_evaluation_bitwise():
                  "three_adv_log", "three_adv_linear", "three_adv_exp"):
         config = game_preset(name, sample_size=2000)
         tables = build_tables(config)
-        samples = [sample_population(s) for s in config.adversaries]
+        samples = [sample_gaussian(s.mean, s.cov, s.sample_size, s.seed)
+                   for s in config.adversaries]
         m = len(samples)
         for probe in range(100):
             i = probe % m

@@ -10,10 +10,13 @@ from adclust.errors import GridBudgetError, ValidationError
 from adclust.game import (Equilibrium, GameConfig, PopulationSpec,
                           UtilitySpec, apply_attack, attacker_utility,
                           build_tables, defender_utility, movement_cost,
-                          sample_population, solve_follower, solve_game,
-                          solve_leader)
+                          solve_follower, solve_game, solve_leader)
 from adclust.synthetic import game_preset
-from adclust.walls import Wall
+from adclust.walls import Wall, eta_of_alpha, sample_gaussian
+
+
+def draw(spec: PopulationSpec) -> np.ndarray:
+    return sample_gaussian(spec.mean, spec.cov, spec.sample_size, spec.seed)
 
 
 def small_config(family="log", a=4.0, k_max=7.0, cost_c=20.0,
@@ -89,7 +92,7 @@ def test_apply_attack_moments():
     # covariance (1-t)^2 Sigma_b
     spec = PopulationSpec(mean=(6.0, 6.0), cov=((1.0, 1.0), (1.0, 2.0)),
                           sample_size=200_000, seed=3)
-    sample = sample_population(spec)
+    sample = draw(spec)
     mu_g = np.array([0.0, 0.0])
     t = 0.3
     moved = apply_attack(sample, mu_g, t)
@@ -109,7 +112,7 @@ def test_movement_cost_is_row_euclidean():
 def test_attacker_utility_direct_matches_tables_bitwise():
     config = small_config(sample_size=300)
     tables = build_tables(config)
-    sample = sample_population(config.adversaries[0])
+    sample = draw(config.adversaries[0])
     rng = np.random.default_rng(6)
     for _ in range(25):
         it = int(rng.integers(len(tables.ts)))
@@ -126,7 +129,7 @@ def test_every_table_cell_matches_direct_evaluation_bitwise(wall_kind):
     config = small_config(sample_size=1000, wall_kind=wall_kind,
                           alpha_step=0.05, t_step=0.05)
     tables = build_tables(config)
-    sample = sample_population(config.adversaries[0])
+    sample = draw(config.adversaries[0])
     for ih in range(len(tables.alphas)):
         wall = wall_at(config, tables, ih)
         for it, t in enumerate(tables.ts.tolist()):
@@ -270,3 +273,13 @@ def test_solver_reuses_supplied_tables():
     assert t_out is tables
     eq2 = solve_leader(tables)
     assert eq1 == eq2
+
+
+@pytest.mark.parametrize("name", ["one_adv_log", "three_adv_log"])
+def test_manhattan_radii_are_eta_of_alpha(name):
+    config = game_preset(name, wall_kind="manhattan", sample_size=500)
+    tables = build_tables(config)
+    for alpha, radius in zip(tables.alphas, tables.radii):
+        eta = eta_of_alpha(tables.stats, float(alpha), config.eta_sample_size,
+                           seed=[config.seed, 99])
+        assert eta == radius, alpha

@@ -169,9 +169,9 @@ def test_closed_upper_edge():
 def test_degenerate_dimension_collapses():
     pts = np.array([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]])
     grid = build_grid(pts)
-    assert grid.degenerate_dims.tolist() == [False, True]
-    assert all(key[1] == 0 for key in grid.cells)
-    assert math.isfinite(grid.min_cell_side)
+    assert grid.cell_of_point[:, 1].tolist() == [0, 0, 0]
+    assert grid.cell_of_point[:, 0].tolist() == [0, 1, 2]
+    assert sorted(grid.cells) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_all_points_isolated_raises():

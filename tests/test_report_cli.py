@@ -143,6 +143,14 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
     assert err.startswith("error: ") and "overflow" in err
     assert "Traceback" not in err
 
+    no_draws = tmp_path / "g.ini"
+    no_draws.write_text("[game]\neta_sample_size = 0\n")
+    assert main(["game", "--preset", "one_adv_log", "--orientation", "leader",
+                 "--wall", "manhattan", "--config", str(no_draws),
+                 "--out", str(tmp_path / "o6")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
     isolated = tmp_path / "corners.csv"
@@ -275,6 +283,46 @@ def test_sweep_requires_exactly_one_source(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["sweep", "--kind", "weight", "--preset", "sim1",
                  "--input", csv_path, "--out", str(tmp_path / "o")]) == 2
+    # a preset brings its own truth and labels
+    truth = tmp_path / "t.csv"
+    truth.write_text("label\n" + "normal\n" * 600)
+    for flag in (["--truth", str(truth)], ["--label-fraction", "0.5"]):
+        assert main(["sweep", "--kind", "weight", "--preset", "sim1", *flag,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_preset_applies_cluster_config(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[cluster]\ncoef_rt = 1.2\nmin_wall_size = 30\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--kind", "weight", "--preset", "sim1",
+                 "--config", str(config), "--out", str(out)]) == 0
+    for path in out.glob("report_*.json"):
+        params = json.loads(path.read_text())["params"]
+        assert (params["coef_rt"], params["min_wall_size"]) == (1.2, 30)
+        assert params["coef_dt"] == 2.5  # the preset's own value stays
+
+
+def test_explicit_truth_wins_in_cluster_and_sweep(tmp_path):
+    csv_path = tmp_path / "sim1.csv"
+    assert main(["simulate", "--preset", "sim1", "--out", str(csv_path)]) == 0
+    truth = tmp_path / "unknown.csv"
+    truth.write_text("label\n" + "unknown\n" * 600)
+    config = tmp_path / "c.ini"
+    config.write_text("[cluster]\ncoef_rt = 0.9\nbandwidth = 0.45\n"
+                      "min_wall_size = 20\n")
+    flags = ["--input", str(csv_path), "--label-fraction", "0.5",
+             "--truth", str(truth), "--config", str(config)]
+    assert main(["cluster", *flags, "--out", str(tmp_path / "c")]) == 0
+    assert main(["sweep", "--kind", "weight", *flags,
+                 "--out", str(tmp_path / "s")]) == 0
+    reports = [tmp_path / "c" / "report.json",
+               *sorted((tmp_path / "s").glob("report_*.json"))]
+    assert len(reports) == 6
+    for path in reports:
+        rows = json.loads(path.read_text())["points"]["rows"]
+        assert {row[4] for row in rows} == {2}, path.name
 
 
 def test_eta_cli_matches_direct_call(tmp_path, capsys):

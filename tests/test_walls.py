@@ -97,7 +97,8 @@ def test_euclidean_wall_is_affine_equivariant():
 def test_euclidean_coverage_matches_level():
     rng = np.random.default_rng(3)
     stats = stats_from_moments([0.0, 0.0], [[1.0, 0.4], [0.4, 2.0]])
-    draws = sample_gaussian(stats, 60_000, seed=rng.integers(1 << 31))
+    draws = sample_gaussian(stats.mean, stats.covariance, 60_000,
+                            seed=rng.integers(1 << 31))
     for alpha in (0.6, 0.9):
         wall = fit_euclidean_wall(stats, alpha)
         assert wall.contains(draws).mean() == pytest.approx(alpha, abs=0.02)
@@ -106,7 +107,7 @@ def test_euclidean_coverage_matches_level():
 def test_manhattan_coverage_matches_level():
     stats = stats_from_moments([1.0, 2.0], [[1.0, 0.0], [0.0, 3.0]])
     wall = fit_manhattan_wall(stats, 0.8, sample_size=100_000, seed=5)
-    draws = sample_gaussian(stats, 60_000, seed=17)
+    draws = sample_gaussian(stats.mean, stats.covariance, 60_000, seed=17)
     assert wall.contains(draws).mean() == pytest.approx(0.8, abs=0.02)
 
 
@@ -174,12 +175,36 @@ def test_wall_validation():
 
 def test_sample_gaussian_moments():
     stats = stats_from_moments([2.0, -1.0], [[1.0, 0.5], [0.5, 2.0]])
-    draws = sample_gaussian(stats, 200_000, seed=12)
+    draws = sample_gaussian(stats.mean, stats.covariance, 200_000, seed=12)
     np.testing.assert_allclose(draws.mean(axis=0), stats.mean, atol=0.02)
     np.testing.assert_allclose(np.cov(draws.T), stats.covariance, atol=0.03)
 
 
 def test_sample_gaussian_is_seed_deterministic():
     stats = stats_from_moments([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(sample_gaussian(stats, 100, seed=8),
-                                  sample_gaussian(stats, 100, seed=8))
+    np.testing.assert_array_equal(
+        sample_gaussian(stats.mean, stats.covariance, 100, seed=8),
+        sample_gaussian(stats.mean, stats.covariance, 100, seed=8))
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_sample_gaussian_is_the_documented_cholesky_draw(q):
+    # AR(1) covariance: at q = 5 and 6 scipy's Cholesky factor differs
+    # from numpy's in the last bit, and so would the draws
+    cov = 0.9 ** np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
+    mean = np.arange(q, dtype=np.float64)
+    want = mean + np.random.default_rng(4).standard_normal((500, q)) \
+        @ np.linalg.cholesky(cov).T
+    assert sample_gaussian(mean, cov, 500, seed=4).tobytes() == want.tobytes()
+
+
+def test_eta_of_alpha_takes_an_array_of_levels():
+    stats = stats_from_moments([1.0, 2.0], [[1.0, 0.2], [0.2, 3.0]])
+    levels = np.array([0.1, 0.5, 0.9])
+    etas = eta_of_alpha(stats, levels, sample_size=5000, seed=2)
+    assert etas.shape == (3,)
+    for level, eta in zip(levels, etas):
+        single = eta_of_alpha(stats, float(level), sample_size=5000, seed=2)
+        assert type(single) is float and single == eta
+    with pytest.raises(ValidationError):
+        eta_of_alpha(stats, np.array([0.5, 1.0]), sample_size=5000)
