@@ -268,6 +268,8 @@ class AdclustParams:
             raise ValidationError("bandwidth must be positive")
         if self.min_wall_size < 2:
             raise ValidationError("min_wall_size must be at least 2")
+        if self.eta_sample_size < 2:
+            raise ValidationError("eta_sample_size must be at least 2")
 
 
 @dataclass

@@ -128,6 +128,8 @@ class GameConfig:
             raise ValidationError(f"unknown wall kind {self.wall_kind!r}")
         for step in (self.alpha_step, self.t_step, self.joint_t_step):
             _grid_count(step)
+        if self.eta_sample_size < 2:
+            raise ValidationError("eta_sample_size must be at least 2")
 
 
 @dataclass

@@ -2,10 +2,13 @@
 
 The grid cuts each dimension into m uniform sections between the data
 min and max (closed upper edge, so the max lands in the last section).
-Neighborhood means are exact multiset means: every mean here is
-math.fsum(values) / len(values), which makes rt and dt bit-identical
-under any permutation of the points and lets an independent oracle
-reproduce them exactly.
+Neighborhood means are exact multiset means: every mean here is the
+correctly rounded sum of its values divided by their count, which makes
+rt and dt bit-identical under any permutation of the points and lets an
+independent oracle reproduce them exactly with math.fsum. Distance rows
+are summed by _exact_row_sums, a certified TwoSum tree with an fsum
+fallback (Ogita, Rump & Oishi 2005; Rump, Ogita & Oishi 2008); short
+lists of means by math.fsum.
 
 A cell's 3^q neighborhood is the set of occupied cells within Chebyshev
 distance 1 of it, itself included. Only occupied cells are ever
@@ -18,8 +21,9 @@ _sq_distance_blocks yields many-to-many blocks in chunks of the one
 _BLOCK_ELEMENTS budget. rt_pairs is the one closed rt-pair kernel (a
 pair at exactly rt connects). adclust() builds this graph once per call;
 density, pass-1 conflicts and every merge read it, a merge using the
-edges with both ends among its participants. Overflowing distances
-raise ValidationError (CLI exit 2).
+edges with both ends among its participants. Distances that overflow,
+or distinct points whose distances all underflow to zero, raise
+ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -38,6 +42,10 @@ Pairs = tuple[np.ndarray, np.ndarray]
 # Largest q * rows * columns of coordinate differences one distance
 # block takes, so its memory stays bounded.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Narrowest block _exact_row_sums sums with its TwoSum tree; narrower
+# blocks go row by row to math.fsum, which is faster there.
+_TREE_COLUMNS = 64
 
 
 @dataclass
@@ -81,6 +89,60 @@ def _fmean(values) -> float:
     return math.fsum(vals) / len(vals)
 
 
+def _exact_row_sums(block: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-d block of nonnegative
+    finite float64 values, bitwise equal to math.fsum(row).
+
+    Blocks of at least _TREE_COLUMNS columns go through a pairwise TwoSum
+    tree (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
+    Sci. Comput. 2005): each level adds the right half of the columns to
+    the left half (after a zero column when the width is odd), and the
+    exact error of every addition is summed into lo. A row keeps
+    fl(hi + lo) only when the exact tail of hi + lo plus a bound on the
+    error of lo is strictly below half the gap to the next float down,
+    which makes it the correct rounding (the certificate behind Rump,
+    Ogita & Oishi's AccSum/NearSum, 2008); so does an all-zero row,
+    whose sum 0 has no gap below it. Every other row, and every row of a
+    narrower block, goes to math.fsum.
+
+    The bound, for C columns, L levels and u = 2^-53: all summands are
+    nonnegative, so the errors add up to at most L u hi (1 + 3 L u), and
+    summing those at most C + L terms in any order errs by less than
+    2.02 C L u^2 hi. The test hi 16 C L u^2 < half gap - |tail| covers
+    that and its own roundings; a product that underflows errs by less
+    than the subnormal step the strict test leaves.
+    """
+    rows, width = block.shape
+    if width < _TREE_COLUMNS:
+        return np.array([math.fsum(row) for row in block.tolist()])
+    hi = block
+    errors = []
+    while hi.shape[1] > 1:
+        if hi.shape[1] % 2:
+            hi = np.concatenate([hi, np.zeros((rows, 1))], axis=1)
+        half = hi.shape[1] // 2
+        a, b = hi[:, :half], hi[:, half:]
+        s = a + b
+        z = s - a
+        e = s - z
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
+        errors.append(e)
+        hi = s
+    hi = hi[:, 0]
+    lo = np.concatenate(errors, axis=1).sum(axis=1)
+    total = hi + lo
+    z = total - hi
+    tail = (hi - (total - z)) + (lo - z)
+    half_gap = 0.5 * (total - np.nextafter(total, 0.0))
+    scale = 16.0 * width * width.bit_length() * 2.0 ** -106
+    certified = (hi * scale < half_gap - np.abs(tail)) | (hi == 0.0)
+    for i in np.flatnonzero(~certified).tolist():
+        total[i] = math.fsum(block[i].tolist())
+    return total
+
+
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared differences summed in dimension order; a and b hold one
     coordinate per row and broadcast along their remaining axes."""
@@ -102,13 +164,17 @@ def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
 
 def _check_extent(points: np.ndarray) -> None:
     """No pair's squared distance exceeds the bounding box diagonal's, so
-    a finite diagonal rules out overflow everywhere."""
+    a finite diagonal rules out overflow everywhere, and a zero diagonal
+    over a nonzero extent means every distance underflows to zero."""
     lo, hi = points.min(axis=0), points.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = _sq_distances(hi[:, None], lo[:, None])
     if not np.isfinite(diagonal).all():
         raise ValidationError("coordinate ranges too large: squared "
                               "distances overflow")
+    if diagonal[0] == 0.0 and (hi > lo).any():
+        raise ValidationError("coordinate ranges too small: squared "
+                              "distances underflow")
 
 
 def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
@@ -164,7 +230,8 @@ def compute_rt(grid: Grid, points: np.ndarray,
                coef_rt: float = 20.0) -> tuple[float, np.ndarray, dict[CellKey, float]]:
     """Distance threshold rt = mean(d(c)) / (q * coef_rt).
 
-    a(p) averages distances from p to its neighborhood, excluding p;
+    a(p) averages distances from p to its neighborhood, excluding p
+    (its own distance is +0.0 and changes no correctly rounded sum);
     d(c) averages a(p) over the cell's points with a defined a(p); cells
     where no point has one contribute nothing. All points isolated in
     their neighborhoods is an error, raised before any distance work.
@@ -181,13 +248,10 @@ def compute_rt(grid: Grid, points: np.ndarray,
     d_c: dict[CellKey, float] = {}
     for key, nb in live:
         members = grid.cells[key]
-        a_vals = []
         for lo, sq in _sq_distance_blocks(cols[:, members], cols[:, nb]):
             rows = members[lo:lo + sq.shape[0]]
-            for p, dist in zip(rows.tolist(), np.sqrt(sq)):
-                a_p[p] = _fmean(dist[nb != p].tolist())
-                a_vals.append(a_p[p])
-        d_c[key] = _fmean(a_vals)
+            a_p[rows] = _exact_row_sums(np.sqrt(sq)) / (nb.size - 1)
+        d_c[key] = _fmean(a_p[members].tolist())
     rt = _fmean(d_c.values()) / (q * coef_rt)
     return rt, a_p, d_c
 

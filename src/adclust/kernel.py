@@ -5,19 +5,20 @@ labeled points: b(p) = sum_i y_i K(p, x_i) / sum_i K(p, x_i) with
 K(p, x) = exp(-||p - x||^2 / (2 bandwidth^2)) and y = 1 for normal,
 0 for abnormal. ||p - x|| and the default bandwidth follow grid.py's
 distance convention (squared differences summed in dimension order).
-Kernel sums use math.fsum, so scores do not depend on the order of the
+Kernel sums are correctly rounded (grid._exact_row_sums: a certified
+TwoSum tree with an fsum fallback, after Ogita, Rump & Oishi 2005 and
+Rump, Ogita & Oishi 2008), so scores do not depend on the order of the
 labeled points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import LABEL_NONE, Dataset
 from .errors import InsufficientLabelsError, ValidationError
-from .grid import _sq_distance_blocks
+from .grid import _exact_row_sums, _sq_distance_blocks
 
 BANDWIDTH_FLOOR = 1e-12
 
@@ -74,13 +75,12 @@ def score(clf: KernelClassifier,
     b = np.empty(m)
     flat = np.zeros(m, dtype=bool)
     for lo, sq in _sq_distance_blocks(points.T, clf.labeled_points.T):
-        for i, row in enumerate(np.exp(-sq / denom2), start=lo):
-            den = math.fsum(row.tolist())
-            if den == 0.0:
-                b[i] = 0.5
-                flat[i] = True
-            else:
-                b[i] = math.fsum((row * clf.labels01).tolist()) / den
+        rows = slice(lo, lo + sq.shape[0])
+        k = np.exp(-sq / denom2)
+        den = _exact_row_sums(k)
+        flat[rows] = den == 0.0
+        b[rows] = np.divide(_exact_row_sums(k * clf.labels01), den,
+                            out=np.full(den.size, 0.5), where=~flat[rows])
     return b, flat
 
 

@@ -260,6 +260,10 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="grid step"):
             GameConfig(normal=normal, adversaries=[adv], utilities=[util],
                        cost_c=1.0, t_step=step)
+    for size in (1, 0, -5):
+        with pytest.raises(ValidationError, match="eta_sample_size"):
+            GameConfig(normal=normal, adversaries=[adv], utilities=[util],
+                       cost_c=1.0, eta_sample_size=size)
     with pytest.raises(ValidationError):
         PopulationSpec(mean=(0.0,), cov=((1.0,),), sample_size=1)
     with pytest.raises(ValidationError):

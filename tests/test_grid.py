@@ -7,9 +7,26 @@ import numpy as np
 import pytest
 from conftest import oracle_thresholds
 
+from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (_neighborhoods, build_grid, compute_density,
-                          compute_dt, compute_rt)
+from adclust.grid import (_TREE_COLUMNS, _exact_row_sums, _neighborhoods,
+                          build_grid, compute_density, compute_dt, compute_rt)
+
+W = _TREE_COLUMNS
+
+
+def lattice_q3():
+    """0.1-lattice on [0, 0.7]^3: 512 points with many exactly equal
+    distances."""
+    axis = np.arange(8) / 10.0
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+def duplicate_heavy():
+    """200 Gaussian rows and 300 copies of one point among them."""
+    rng = np.random.default_rng(12)
+    return np.vstack([rng.normal(size=(200, 2)), np.full((300, 2), 0.25)])
 
 
 def test_rt_two_points_1d():
@@ -82,22 +99,31 @@ def test_oracle_equivalence_seeded():
         assert n_c == o_nc
 
 
-def test_permutation_invariance():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(60, 2))
+def assert_permutation_invariant(pts, rng):
     grid = build_grid(pts)
-    rt, _, _ = compute_rt(grid, pts, coef_rt=1.0)
+    rt, a_p, _ = compute_rt(grid, pts, coef_rt=1.0)
     n_p = compute_density(grid, pts, rt)
     dt, _ = compute_dt(grid, n_p)
-    perm = rng.permutation(60)
+    perm = rng.permutation(len(pts))
     shuffled = pts[perm]
     grid2 = build_grid(shuffled)
-    rt2, _, _ = compute_rt(grid2, shuffled, coef_rt=1.0)
+    rt2, a_p2, _ = compute_rt(grid2, shuffled, coef_rt=1.0)
     n_p2 = compute_density(grid2, shuffled, rt2)
     dt2, _ = compute_dt(grid2, n_p2)
     assert rt2 == rt
     assert dt2 == dt
     np.testing.assert_array_equal(n_p2, n_p[perm])
+    assert a_p2.tobytes() == a_p[perm].tobytes()
+
+
+def test_permutation_invariance():
+    rng = np.random.default_rng(11)
+    assert_permutation_invariant(rng.normal(size=(60, 2)), rng)
+
+
+def test_permutation_invariance_with_duplicates():
+    assert_permutation_invariant(duplicate_heavy(),
+                                 np.random.default_rng(11))
 
 
 def test_scale_invariance_of_rt_ratio():
@@ -214,6 +240,8 @@ def test_validation_errors():
         build_grid(np.zeros((3, 2)), target_fraction=0.0)
     with pytest.raises(ValidationError, match="overflow"):
         build_grid(np.array([[1e200, 0.0], [-1e200, 0.0]]))
+    with pytest.raises(ValidationError, match="underflow"):
+        build_grid(np.array([[1e-300, 0.0], [3e-300, 0.0]]))
     pts = np.array([[0.0], [1.0]])
     grid = build_grid(pts)
     with pytest.raises(ValidationError):
@@ -233,3 +261,132 @@ def test_coincident_points_give_zero_rt():
     grid = build_grid(pts)
     rt, _, _ = compute_rt(grid, pts)
     assert rt == 0.0
+
+
+def fsum_rows(block):
+    return np.array([math.fsum(row) for row in block.tolist()])
+
+
+def row_sums_and_fallbacks(block, monkeypatch):
+    """_exact_row_sums(block) and how many rows it sent to math.fsum."""
+    calls = []
+
+    def counting_fsum(values, fsum=math.fsum):
+        calls.append(1)
+        return fsum(values)
+
+    with monkeypatch.context() as m:
+        m.setattr(grid_module.math, "fsum", counting_fsum)
+        sums = _exact_row_sums(block)
+    return sums, len(calls)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()
+
+
+def padded(values, width=W):
+    row = np.zeros(width)
+    row[:len(values)] = values
+    return row
+
+
+def test_exact_row_sums_send_half_ulp_ties_to_fsum(monkeypatch):
+    u = 2.0 ** -53
+    block = np.array([
+        # an exact tie: 1 + u rounds to even, 1.0
+        padded([1.0, u]),
+        # just above a tie: lo drops u^2 / 4, so fl(hi + lo) would be
+        # 1.0 where the correct rounding is 1 + 2u
+        padded([1.0, u, u * u / 4]),
+        # just below a tie, closer than the bound on lo's error
+        padded([1.0 + 2 * u, u - u * u]),
+        # just above the tie between 3 and 3 + 4u
+        padded([3.0, 2 * u, u ** 3]),
+    ])
+    expected = fsum_rows(block)
+    assert expected.tolist() == [1.0, 1.0 + 2 * u, 1.0 + 2 * u, 3.0 + 4 * u]
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, expected)
+    assert fallbacks == len(block)
+    # shuffled columns reach the same sums
+    perm = np.random.default_rng(1).permutation(W)
+    assert_bitwise(_exact_row_sums(block[:, perm]), expected)
+
+
+def test_exact_row_sums_bound_the_error_of_lo(monkeypatch):
+    # Placed where the tree adds each small value to 1.5 on its own
+    # level, so each becomes one error term. lo sums those terms to
+    # u - 2^-106 and drops the 3c that lift the exact sum above the tie
+    # 1.5 + u: the tail alone is below half the gap, the bound on lo's
+    # error is not.
+    u = 2.0 ** -53
+    c = 1.75 * 2.0 ** -108
+    row = np.zeros(W)
+    row[0], row[W // 2] = 1.5, u - 2.0 ** -106
+    row[[W // 4, W // 8, W // 16]] = c
+    sums, fallbacks = row_sums_and_fallbacks(row[None], monkeypatch)
+    assert_bitwise(sums, np.array([1.5 + 2 * u]))
+    assert math.fsum(row) == 1.5 + 2 * u
+    assert fallbacks == 1
+
+
+def test_exact_row_sums_certify_generic_rows(monkeypatch):
+    rng = np.random.default_rng(2)
+    block = np.sqrt(rng.uniform(size=(40, 3 * W + 5))) * 7.3
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    assert fallbacks == 0
+
+
+def test_exact_row_sums_zeros_and_single_values(monkeypatch):
+    block = np.zeros((3, W))
+    block[1, 17] = 0.1
+    block[2, W - 1] = 5e-324
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, np.array([0.0, 0.1, 5e-324]))
+    assert fallbacks == 1  # half the gap above 5e-324 underflows to 0
+    assert_bitwise(_exact_row_sums(np.array([[2.5], [0.0]])),
+                   np.array([2.5, 0.0]))
+
+
+def test_exact_row_sums_subnormals_and_wide_exponent_range():
+    rng = np.random.default_rng(3)
+    tiny = rng.integers(0, 1 << 20, size=(8, W + 3)) * 5e-324
+    mixed = np.where(rng.uniform(size=(8, 2 * W)) < 0.5, 1e300, 1e-300)
+    mixed *= rng.uniform(0.5, 1.5, size=mixed.shape)
+    spread = rng.uniform(size=(8, W)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(8, W))
+    for block in (tiny, mixed, spread):
+        assert_bitwise(_exact_row_sums(block), fsum_rows(block))
+
+
+@pytest.mark.parametrize("width", [W - 1, W, W + 1])
+def test_exact_row_sums_at_the_width_gate(width, monkeypatch):
+    rng = np.random.default_rng(width)
+    block = rng.uniform(size=(25, width)) ** 3
+    block[0] = padded([1.0, 2.0 ** -53, 2.0 ** -108], width)
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    assert fallbacks == (25 if width < W else 1)
+
+
+@pytest.mark.parametrize("points, target_fraction", [
+    (lattice_q3(), 0.25), (duplicate_heavy(), 0.075)],
+    ids=["lattice_q3", "duplicates"])
+def test_wide_neighborhoods_match_oracle(points, target_fraction):
+    grid = build_grid(points, target_fraction)
+    _, hoods = _neighborhoods(grid)
+    assert max(nb.size for nb in hoods) >= W
+    rt, a_p, d_c = compute_rt(grid, points, coef_rt=1.0)
+    n_p = compute_density(grid, points, rt)
+    dt, n_c = compute_dt(grid, n_p)
+    o_rt, o_ap, o_dc, o_np, o_dt, o_nc = oracle_thresholds(
+        points, 1.0, 0.95, target_fraction=target_fraction)
+    assert rt == o_rt
+    assert dt == o_dt
+    assert_bitwise(a_p, o_ap)
+    assert d_c == o_dc
+    np.testing.assert_array_equal(n_p, o_np)
+    assert n_c == o_nc

@@ -9,6 +9,7 @@ from conftest import oracle_distance
 
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
+from adclust.grid import _TREE_COLUMNS
 from adclust.kernel import (BANDWIDTH_FLOOR, fit_kernel,
                             median_pairwise_distance, pipeline_scores, score,
                             weight)
@@ -145,14 +146,16 @@ def oracle_score(clf, probe) -> float:
 
 @pytest.mark.parametrize("q", [2, 8, 9])
 def test_score_matches_dimension_order_oracle_bitwise(q):
+    # 16 labeled points take the fsum path, 2 W + 1 the TwoSum tree
     rng = np.random.default_rng(q)
     scales = rng.uniform(0.1, 10.0, size=q)
-    pts = rng.normal(size=(16, q)) * scales
-    labels = np.array([1, 0] * 8, dtype=np.int8)
-    probes = rng.normal(size=(60, q)) * scales
-    clf = fit_kernel(make_dataset(pts, labels))
-    b, _ = score(clf, probes)
-    assert b.tolist() == [oracle_score(clf, p) for p in probes]
+    for n in (16, 2 * _TREE_COLUMNS + 1):
+        pts = rng.normal(size=(n, q)) * scales
+        labels = (np.arange(n) + 1) % 2
+        probes = rng.normal(size=(60, q)) * scales
+        clf = fit_kernel(make_dataset(pts, labels))
+        b, _ = score(clf, probes)
+        assert b.tolist() == [oracle_score(clf, p) for p in probes]
 
 
 def test_median_pairwise_matches_oracle_distance_at_q9():

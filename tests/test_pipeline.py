@@ -271,6 +271,9 @@ def test_params_validation():
         AdclustParams(min_wall_size=1)
     with pytest.raises(ValidationError):
         AdclustParams(bandwidth=0.0)
+    for size in (1, 0, -5):
+        with pytest.raises(ValidationError, match="eta_sample_size"):
+            AdclustParams(eta_sample_size=size)
 
 
 def test_adclust_builds_the_rt_graph_once(monkeypatch):

@@ -143,13 +143,32 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
     assert err.startswith("error: ") and "overflow" in err
     assert "Traceback" not in err
 
+    # distinct points whose squared differences underflow to zero
+    tiny = tmp_path / "tiny.csv"
+    labels = np.full(60, -1, dtype=np.int8)
+    labels[:3], labels[30:33] = 1, 0
+    write_csv(str(tiny), Dataset(rng.uniform(size=(60, 2)) * 1e-300, labels))
+    assert main(["cluster", "--input", str(tiny),
+                 "--out", str(tmp_path / "o7")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflow" in err
+    assert "coincident" not in err
+
     no_draws = tmp_path / "g.ini"
     no_draws.write_text("[game]\neta_sample_size = 0\n")
-    assert main(["game", "--preset", "one_adv_log", "--orientation", "leader",
-                 "--wall", "manhattan", "--config", str(no_draws),
-                 "--out", str(tmp_path / "o6")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for wall in ("manhattan", "euclidean"):
+        assert main(["game", "--preset", "one_adv_log", "--orientation",
+                     "leader", "--wall", wall, "--config", str(no_draws),
+                     "--out", str(tmp_path / "o6")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "eta_sample_size" in err
+    negative_draws = tmp_path / "c.ini"
+    negative_draws.write_text("[cluster]\neta_sample_size = -5\n")
+    assert run_cluster(csv_path, tmp_path / "o8",
+                       ("--wall", "euclidean",
+                        "--config", str(negative_draws))) == 2
+    assert "eta_sample_size" in capsys.readouterr().err
 
 
 def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
