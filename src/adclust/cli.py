@@ -65,14 +65,12 @@ def _read_config(path: str | None, section: str, fields: dict) -> dict:
         if key not in fields:
             raise ValidationError(f"unknown config key {key!r} in [{section}]")
         caster = fields[key]
-        if caster is bool:
-            out[key] = parser[section].getboolean(key)
-        else:
-            try:
-                out[key] = caster(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"config key {key!r}: cannot parse {raw!r}") from None
+        try:
+            out[key] = (parser[section].getboolean(key) if caster is bool
+                        else caster(raw))
+        except ValueError:
+            raise ValidationError(
+                f"config key {key!r}: cannot parse {raw!r}") from None
     return out
 
 
@@ -188,15 +186,15 @@ def _sweep_run(task: dict) -> dict:
             alpha=task["alpha"], wall_kind=task["wall_kind"])
         params = dataclasses.replace(params, **task["overrides"])
     else:
-        dataset, info = ingest_csv(task["input"],
-                                   label_column=task["label_column"],
-                                   label_fraction=task["label_fraction"],
-                                   seed=task["seed"])
-        truth = info.truth if task["truth"] is None else task["truth"]
-        _check_truth_rows(truth, dataset)
         params = AdclustParams(k=task["k"], alpha=task["alpha"],
                                wall_kind=task["wall_kind"], seed=task["seed"],
                                **task["overrides"])
+        dataset, info = ingest_csv(task["input"],
+                                   label_column=task["label_column"],
+                                   label_fraction=task["label_fraction"],
+                                   seed=params.seed)
+        truth = info.truth if task["truth"] is None else task["truth"]
+        _check_truth_rows(truth, dataset)
     result = adclust(dataset, params)
     metrics = cluster_metrics(result, truth)
     command = {"command": "sweep", "kind": task["kind"], "k": task["k"],
@@ -278,6 +276,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eta(args) -> int:
+    if args.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     with open(args.stats) as fh:
         try:
             payload = json.load(fh)

@@ -58,8 +58,8 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
     # csgraph costs about 3 MB of peak RSS; only merges need it
     from scipy.sparse.csgraph import connected_components
 
-    if rt <= 0:
-        raise ValidationError("rt must be positive")
+    if not 0.0 < rt < math.inf:
+        raise ValidationError("rt must be positive and finite")
     point_ids = np.asarray(point_ids, dtype=np.int64)
     stat = np.asarray(stat, dtype=np.float64)
     if point_ids.size != stat.size:
@@ -254,18 +254,21 @@ class AdclustParams:
     eta_sample_size: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValidationError("k must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValidationError("k must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
         if self.wall_kind not in ("euclidean", "manhattan"):
             raise ValidationError(f"unknown wall kind {self.wall_kind!r}")
-        if self.coef_rt <= 0 or self.coef_dt <= 0:
-            raise ValidationError("threshold coefficients must be positive")
+        if not (0.0 < self.coef_rt < math.inf and 0.0 < self.coef_dt < math.inf):
+            raise ValidationError("threshold coefficients must be positive "
+                                  "and finite")
         if not 0.0 < self.target_fraction <= 1.0:
             raise ValidationError("target_fraction must be in (0, 1]")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValidationError("bandwidth must be positive")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < math.inf:
+            raise ValidationError("bandwidth must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.min_wall_size < 2:
             raise ValidationError("min_wall_size must be at least 2")
         if self.eta_sample_size < 2:
@@ -298,17 +301,17 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
 
     grid = build_grid(pts, params.target_fraction)
     clf = fit_kernel(dataset, bandwidth=params.bandwidth)
-    rt, a_p, d_c = compute_rt(grid, pts, params.coef_rt)
+    rt, a_p, _ = compute_rt(grid, pts, params.coef_rt)
     if rt <= 0:
-        raise ValidationError("computed rt is zero; points are coincident")
+        raise ValidationError("computed rt is zero: the points are coincident "
+                              "or their squared distances underflow")
     pairs = rt_pairs(pts, rt)
     n_p = compute_density(grid, pts, rt, exact=params.exact_density,
                           pairs=pairs)
-    dt, n_c = compute_dt(grid, n_p, params.coef_dt, params.log_base)
+    dt, _ = compute_dt(grid, n_p, params.coef_dt, params.log_base)
     thresholds = Thresholds(rt=rt, dt=dt)
-    profile = DensityProfile(avg_dist_point=a_p, avg_dist_cell=d_c,
-                             density_point=n_p.astype(np.float64),
-                             density_cell=n_c)
+    profile = DensityProfile(avg_dist_point=a_p,
+                             density_point=n_p.astype(np.float64))
 
     b, flags = pipeline_scores(dataset, clf)
     w = weight(b, params.k)

@@ -56,8 +56,9 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if self.family not in ("log", "linear", "exp"):
             raise ValidationError(f"unknown utility family {self.family!r}")
-        if self.a <= 0 or self.k_max <= 0:
-            raise ValidationError("utility parameters must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.k_max < math.inf):
+            raise ValidationError("utility parameters must be positive and "
+                                  "finite")
 
     def payoff(self, costs: np.ndarray) -> np.ndarray:
         costs = np.asarray(costs, dtype=np.float64)
@@ -122,14 +123,16 @@ class GameConfig:
             raise ValidationError("need at least one adversary")
         if len(self.utilities) != len(self.adversaries):
             raise ValidationError("one utility spec per adversary")
-        if self.cost_c < 0:
-            raise ValidationError("cost_c must be nonnegative")
+        if not 0.0 <= self.cost_c < math.inf:
+            raise ValidationError("cost_c must be nonnegative and finite")
         if self.wall_kind not in ("euclidean", "manhattan"):
             raise ValidationError(f"unknown wall kind {self.wall_kind!r}")
         for step in (self.alpha_step, self.t_step, self.joint_t_step):
             _grid_count(step)
         if self.eta_sample_size < 2:
             raise ValidationError("eta_sample_size must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass

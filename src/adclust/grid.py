@@ -8,10 +8,14 @@ rt and dt bit-identical under any permutation of the points and lets an
 independent oracle reproduce them exactly with math.fsum. Distance rows
 are summed by _exact_row_sums, a certified TwoSum tree with an fsum
 fallback (Ogita, Rump & Oishi 2005; Rump, Ogita & Oishi 2008); short
-lists of means by math.fsum.
+lists of means by math.fsum; the integer n(p) of a cell by an exact
+integer sum.
 
-A cell's 3^q neighborhood is the set of occupied cells within Chebyshev
-distance 1 of it, itself included. Only occupied cells are ever
+build_grid sorts the points by cell key once (a stable np.lexsort):
+Grid.cells lists the occupied keys in sorted order, ids ascending, and
+every per-cell result (neighborhoods, the d(c) and n(c) arrays) follows
+it. A cell's 3^q neighborhood is the set of occupied cells within
+Chebyshev distance 1 of it, itself included. Only occupied cells are
 visited, so the cost scales with occupied-cell pairs, not with 3^q.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,7 +59,9 @@ class Grid:
 
     sections: m, the section count per dimension (same for every
     dimension). Dimensions with zero width collapse to section 0; they
-    never restrict a neighborhood.
+    never restrict a neighborhood. cell_of_point holds each point's key;
+    cells maps every occupied key to its point ids, keys in sorted order
+    and ids ascending, the one cell order every per-cell array follows.
     """
 
     sections: int
@@ -70,7 +77,7 @@ class Thresholds:
 
 @dataclass
 class DensityProfile:
-    """Per-point and per-cell averages backing the thresholds.
+    """Per-point averages backing the thresholds.
 
     avg_dist_point is a(p), the mean distance from p to the other points
     of its 3^q cell neighborhood (NaN when the neighborhood holds only
@@ -79,14 +86,11 @@ class DensityProfile:
     """
 
     avg_dist_point: np.ndarray
-    avg_dist_cell: dict[CellKey, float]
     density_point: np.ndarray
-    density_cell: dict[CellKey, float]
 
 
-def _fmean(values) -> float:
-    vals = list(values)
-    return math.fsum(vals) / len(vals)
+def _fmean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
 
 
 def _exact_row_sums(block: np.ndarray) -> np.ndarray:
@@ -185,7 +189,7 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     slice of the data range.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0:
+    if points.ndim != 2 or 0 in points.shape:
         raise ValidationError("points must be a nonempty 2-d array")
     if not 0.0 < target_fraction <= 1.0:
         raise ValidationError("target_fraction must be in (0, 1]")
@@ -200,59 +204,61 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     idx = np.floor((points - mins) / safe).astype(np.int64)
     idx = np.clip(idx, 0, m - 1)
     idx[:, degenerate] = 0
-    cells: dict[CellKey, list[int]] = {}
-    for i, key in enumerate(map(tuple, idx.tolist())):
-        cells.setdefault(key, []).append(i)
-    packed = {k: np.array(v, dtype=np.int64) for k, v in cells.items()}
-    return Grid(sections=m, cell_of_point=idx, cells=packed)
+    order = np.lexsort(idx.T[::-1])  # stable: ids ascend within a key
+    ranked = idx[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    keys = map(tuple, ranked[starts].tolist())
+    spans = pairwise(starts.tolist() + [n])
+    cells = {key: order[a:b] for key, (a, b) in zip(keys, spans)}
+    return Grid(sections=m, cell_of_point=idx, cells=cells)
 
 
-def _neighborhoods(grid: Grid) -> tuple[list[CellKey], list[np.ndarray]]:
-    """Sorted occupied keys and, per key, the ids of the points in the
+def _neighborhoods(grid: Grid) -> list[np.ndarray]:
+    """Per cell of grid.cells, in its order, the ids of the points in the
     occupied cells within Chebyshev distance 1 of it, its own included.
 
     Only occupied cells are visited: a KD-tree over the integer keys
     finds every cell pair at Chebyshev distance <= 1, which is exact on
-    integers. Each neighborhood lists its cells in sorted key order.
+    integers. Each neighborhood lists its cells in grid.cells order.
     """
-    keys = sorted(grid.cells)
-    tree = cKDTree(np.array(keys, dtype=np.float64))
-    near = [[c] for c in range(len(keys))]
-    for i, j in tree.query_pairs(1.0, p=np.inf):
-        near[i].append(j)
-        near[j].append(i)
-    members = [grid.cells[k] for k in keys]
-    hoods = [np.concatenate([members[j] for j in sorted(nb)]) for nb in near]
-    return keys, hoods
+    tree = cKDTree(np.array(list(grid.cells), dtype=np.float64))
+    i, j = tree.query_pairs(1.0, p=np.inf, output_type="ndarray").T
+    own = np.arange(tree.n)
+    rows, cols = np.r_[own, i, j], np.r_[own, j, i]
+    cols = cols[np.lexsort((cols, rows))]
+    near = np.split(cols, np.cumsum(np.bincount(rows))[:-1])
+    members = list(grid.cells.values())
+    return [np.concatenate([members[c] for c in nb.tolist()]) for nb in near]
 
 
 def compute_rt(grid: Grid, points: np.ndarray,
-               coef_rt: float = 20.0) -> tuple[float, np.ndarray, dict[CellKey, float]]:
+               coef_rt: float = 20.0) -> tuple[float, np.ndarray, np.ndarray]:
     """Distance threshold rt = mean(d(c)) / (q * coef_rt).
 
     a(p) averages distances from p to its neighborhood, excluding p
     (its own distance is +0.0 and changes no correctly rounded sum);
-    d(c) averages a(p) over the cell's points with a defined a(p); cells
-    where no point has one contribute nothing. All points isolated in
-    their neighborhoods is an error, raised before any distance work.
+    d(c), one value per cell in grid.cells order, averages a(p) over the
+    cell's points, NaN where no point has an a(p); the outer mean skips
+    those cells. All points isolated in their neighborhoods is an error,
+    raised before any distance work.
     """
-    if coef_rt <= 0:
-        raise ValidationError("coef_rt must be positive")
+    if not 0.0 < coef_rt < math.inf:
+        raise ValidationError("coef_rt must be positive and finite")
     n, q = points.shape
-    keys, hoods = _neighborhoods(grid)
-    live = [(key, nb) for key, nb in zip(keys, hoods) if nb.size > 1]
-    if not live:
+    hoods = _neighborhoods(grid)
+    if all(nb.size == 1 for nb in hoods):
         raise DegenerateGeometryError("degenerate density geometry")
     cols = np.ascontiguousarray(points.T)
     a_p = np.full(n, np.nan)
-    d_c: dict[CellKey, float] = {}
-    for key, nb in live:
-        members = grid.cells[key]
+    d_c = np.full(len(hoods), np.nan)
+    for c, (members, nb) in enumerate(zip(grid.cells.values(), hoods)):
+        if nb.size == 1:
+            continue
         for lo, sq in _sq_distance_blocks(cols[:, members], cols[:, nb]):
             rows = members[lo:lo + sq.shape[0]]
             a_p[rows] = _exact_row_sums(np.sqrt(sq)) / (nb.size - 1)
-        d_c[key] = _fmean(a_p[members].tolist())
-    rt = _fmean(d_c.values()) / (q * coef_rt)
+        d_c[c] = _fmean(a_p[members].tolist())
+    rt = _fmean(d_c[~np.isnan(d_c)].tolist()) / (q * coef_rt)
     return rt, a_p, d_c
 
 
@@ -296,24 +302,26 @@ def compute_density(grid: Grid, points: np.ndarray, rt: float,
 
 
 def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,
-               log_base: float = math.e) -> tuple[float, dict[CellKey, float]]:
+               log_base: float = math.e) -> tuple[float, np.ndarray]:
     """Density threshold dt = mean(n(c)) / log(N) * coef_dt.
 
-    n(c) is the mean n(p) over the cell's points; the outer mean runs
-    over occupied cells. log is natural by default; log_base switches it
-    (the pseudocode variant uses base 10).
+    n(c), one value per cell in grid.cells order, is the mean n(p) over
+    the cell's points; the outer mean runs over occupied cells. n(p) are
+    integers, so each cell's sum is exact and n(c) correctly rounded.
+    log is natural by default; log_base switches it (the pseudocode
+    variant uses base 10).
     """
-    if coef_dt <= 0:
-        raise ValidationError("coef_dt must be positive")
-    if log_base <= 1.0:
-        raise ValidationError("log_base must exceed 1")
+    if not 0.0 < coef_dt < math.inf:
+        raise ValidationError("coef_dt must be positive and finite")
+    if not 1.0 < log_base < math.inf:
+        raise ValidationError("log_base must exceed 1 and be finite")
     n = int(n_p.shape[0])
     if n < 2:
         raise DegenerateGeometryError("dataset too small for density threshold")
-    n_c: dict[CellKey, float] = {}
-    for key in sorted(grid.cells):
-        members = grid.cells[key]
-        n_c[key] = _fmean(n_p[members].tolist())
+    members = list(grid.cells.values())
+    sizes = np.array([m.size for m in members])
+    starts = np.cumsum(sizes) - sizes
+    n_c = np.add.reduceat(n_p[np.concatenate(members)], starts) / sizes
     log_n = math.log(n) / math.log(log_base)
-    dt = _fmean(n_c.values()) / log_n * coef_dt
+    dt = _fmean(n_c.tolist()) / log_n * coef_dt
     return dt, n_c

@@ -12,6 +12,7 @@ labeled points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ def fit_kernel(dataset: Dataset, bandwidth: float | None = None) -> KernelClassi
     pts = dataset.points[ids]
     if bandwidth is None:
         bandwidth = median_pairwise_distance(pts)
-    elif bandwidth <= 0:
-        raise ValidationError("bandwidth must be positive")
+    elif not 0.0 < bandwidth < math.inf:
+        raise ValidationError("bandwidth must be positive and finite")
     bandwidth = max(float(bandwidth), BANDWIDTH_FLOOR)
     return KernelClassifier(labeled_points=pts,
                             labels01=y.astype(np.float64),
@@ -86,8 +87,8 @@ def score(clf: KernelClassifier,
 
 def weight(b: np.ndarray, k: float) -> np.ndarray:
     """Signed confidence weight w = k (2b - 1), in [-k, k]."""
-    if k <= 0:
-        raise ValidationError("k must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValidationError("k must be positive and finite")
     return k * (2.0 * np.asarray(b, dtype=np.float64) - 1.0)
 
 

@@ -24,20 +24,10 @@ except PackageNotFoundError:  # running from a source tree
     _PKG_VERSION = "0.1.0"
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def dump_json(obj, path: str) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+    """numpy arrays and scalars are written as their tolist() values."""
+    text = json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda v: v.tolist())
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -53,6 +53,8 @@ class MixtureSpec:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValidationError("need at least one component")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         fractions = (self.label_fraction.values()
                      if isinstance(self.label_fraction, dict)
                      else [self.label_fraction])

@@ -114,8 +114,8 @@ class Wall:
             raise ValidationError(f"unknown wall kind {self.kind!r}")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("level must be in (0, 1)")
-        if self.radius <= 0:
-            raise ValidationError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValidationError("radius must be positive and finite")
         if self.kind == "euclidean" and self._cho is None:
             self._cho = cho_factor(self.stats.covariance, lower=True)
 

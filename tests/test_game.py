@@ -264,6 +264,17 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="eta_sample_size"):
             GameConfig(normal=normal, adversaries=[adv], utilities=[util],
                        cost_c=1.0, eta_sample_size=size)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="cost_c"):
+            GameConfig(normal=normal, adversaries=[adv], utilities=[util],
+                       cost_c=value)
+        with pytest.raises(ValidationError, match="finite"):
+            UtilitySpec("log", a=value)
+        with pytest.raises(ValidationError, match="finite"):
+            UtilitySpec("linear", a=1.0, k_max=value)
+    with pytest.raises(ValidationError, match="seed"):
+        GameConfig(normal=normal, adversaries=[adv], utilities=[util],
+                   cost_c=1.0, seed=-1)
     with pytest.raises(ValidationError):
         PopulationSpec(mean=(0.0,), cov=((1.0,),), sample_size=1)
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle_thresholds
+from conftest import oracle_grid_cells, oracle_thresholds
 
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
@@ -27,6 +27,15 @@ def duplicate_heavy():
     """200 Gaussian rows and 300 copies of one point among them."""
     rng = np.random.default_rng(12)
     return np.vstack([rng.normal(size=(200, 2)), np.full((300, 2), 0.25)])
+
+
+def assert_cell_means(grid, d_c, n_c, o_dc, o_nc):
+    """d(c) and n(c) equal the oracle's per-key values in grid.cells
+    order, d(c) NaN exactly where the oracle has none."""
+    keys = list(grid.cells)
+    assert set(o_dc) <= set(keys) and sorted(o_nc) == keys
+    assert_bitwise(d_c, np.array([o_dc.get(k, np.nan) for k in keys]))
+    assert_bitwise(n_c, np.array([o_nc[k] for k in keys]))
 
 
 def test_rt_two_points_1d():
@@ -55,7 +64,7 @@ def test_dt_hand_chain():
     assert n_p.tolist() == [1, 1, 1]
     dt, n_c = compute_dt(grid, n_p, coef_dt=0.95)
     assert dt == pytest.approx(0.95 / math.log(3), rel=1e-15)
-    assert all(v == 1.0 for v in n_c.values())
+    assert n_c.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_dt_log_base_variant():
@@ -95,8 +104,7 @@ def test_oracle_equivalence_seeded():
         np.testing.assert_array_equal(n_p, o_np)
         both_nan = np.isnan(a_p) & np.isnan(o_ap)
         assert np.array_equal(a_p[~both_nan], o_ap[~both_nan])
-        assert d_c == o_dc
-        assert n_c == o_nc
+        assert_cell_means(grid, d_c, n_c, o_dc, o_nc)
 
 
 def assert_permutation_invariant(pts, rng):
@@ -146,8 +154,8 @@ def test_occupied_neighborhoods_match_brute_force():
         if trial % 4 == 3:
             pts[:, rng.integers(0, q)] = 2.5  # degenerate dimension
         grid = build_grid(pts, float(rng.choice([0.075, 0.25, 0.5])))
-        keys, hoods = _neighborhoods(grid)
-        assert keys == sorted(grid.cells)
+        keys = list(grid.cells)
+        hoods = _neighborhoods(grid)
         assert len(hoods) == len(keys)
         for key, ids in zip(keys, hoods):
             near = [k for k in keys
@@ -167,7 +175,7 @@ def test_rt_over_row_chunks_matches_oracle():
                                              target_fraction=1.0)
     assert rt == o_rt
     np.testing.assert_array_equal(a_p, o_ap)
-    assert d_c == o_dc
+    assert_bitwise(d_c, np.array(list(o_dc.values())))
 
 
 @pytest.mark.parametrize("q", [12, 20])
@@ -176,8 +184,8 @@ def test_high_q_isolated_points_fail_fast(q):
     # neighborhood, which has up to 3^q cells
     pts = np.random.default_rng(q).uniform(size=(300, q))
     grid = build_grid(pts)
-    keys, hoods = _neighborhoods(grid)
-    assert len(keys) == 300
+    hoods = _neighborhoods(grid)
+    assert len(hoods) == 300
     assert all(ids.size == 1 for ids in hoods)
     with pytest.raises(DegenerateGeometryError, match="degenerate"):
         compute_rt(grid, pts)
@@ -198,6 +206,28 @@ def test_degenerate_dimension_collapses():
     assert grid.cell_of_point[:, 1].tolist() == [0, 0, 0]
     assert grid.cell_of_point[:, 0].tolist() == [0, 1, 2]
     assert sorted(grid.cells) == [(0, 0), (1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("q, degenerate", [
+    (1, False), (2, False), (2, True), (3, True), (5, True), (8, False),
+    (12, True)])
+def test_cells_iterate_in_sorted_key_order(q, degenerate):
+    rng = np.random.default_rng(q)
+    pts = rng.normal(size=(120, q)) * 2.0
+    pts = np.vstack([pts, np.repeat(pts[:5], 8, axis=0)])  # duplicates
+    if degenerate:
+        pts[:, q // 2] = 1.5
+    pts = pts[rng.permutation(len(pts))]
+    grid = build_grid(pts, target_fraction=0.25)
+    keys, _ = oracle_grid_cells(pts, target_fraction=0.25)
+    assert list(map(tuple, grid.cell_of_point.tolist())) == keys
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    assert list(grid.cells) == sorted(groups)
+    for key, ids in grid.cells.items():
+        assert ids.dtype == np.int64
+        assert ids.tolist() == groups[key]
 
 
 def test_all_points_isolated_raises():
@@ -234,8 +264,9 @@ def test_density_exact_matches_brute_force():
 
 
 def test_validation_errors():
-    with pytest.raises(ValidationError):
-        build_grid(np.empty((0, 2)))
+    for shape in ((0, 2), (3, 0)):
+        with pytest.raises(ValidationError):
+            build_grid(np.empty(shape))
     with pytest.raises(ValidationError):
         build_grid(np.zeros((3, 2)), target_fraction=0.0)
     with pytest.raises(ValidationError, match="overflow"):
@@ -244,14 +275,17 @@ def test_validation_errors():
         build_grid(np.array([[1e-300, 0.0], [3e-300, 0.0]]))
     pts = np.array([[0.0], [1.0]])
     grid = build_grid(pts)
-    with pytest.raises(ValidationError):
-        compute_rt(grid, pts, coef_rt=0.0)
+    for coef in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            compute_rt(grid, pts, coef_rt=coef)
     with pytest.raises(ValidationError):
         compute_density(grid, pts, rt=-1.0)
-    with pytest.raises(ValidationError):
-        compute_dt(grid, np.array([1, 1]), coef_dt=-1.0)
-    with pytest.raises(ValidationError):
-        compute_dt(grid, np.array([1, 1]), log_base=1.0)
+    for coef in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            compute_dt(grid, np.array([1, 1]), coef_dt=coef)
+    for base in (1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            compute_dt(grid, np.array([1, 1]), log_base=base)
     with pytest.raises(DegenerateGeometryError):
         compute_dt(grid, np.array([1]))
 
@@ -377,7 +411,7 @@ def test_exact_row_sums_at_the_width_gate(width, monkeypatch):
     ids=["lattice_q3", "duplicates"])
 def test_wide_neighborhoods_match_oracle(points, target_fraction):
     grid = build_grid(points, target_fraction)
-    _, hoods = _neighborhoods(grid)
+    hoods = _neighborhoods(grid)
     assert max(nb.size for nb in hoods) >= W
     rt, a_p, d_c = compute_rt(grid, points, coef_rt=1.0)
     n_p = compute_density(grid, points, rt)
@@ -387,6 +421,5 @@ def test_wide_neighborhoods_match_oracle(points, target_fraction):
     assert rt == o_rt
     assert dt == o_dt
     assert_bitwise(a_p, o_ap)
-    assert d_c == o_dc
     np.testing.assert_array_equal(n_p, o_np)
-    assert n_c == o_nc
+    assert_cell_means(grid, d_c, n_c, o_dc, o_nc)

@@ -91,8 +91,9 @@ def test_insufficient_labels():
 
 def test_bandwidth_validation_and_floor():
     ds = make_dataset([[0.0], [1.0]], [1, 0])
-    with pytest.raises(ValidationError):
-        fit_kernel(ds, bandwidth=-1.0)
+    for bandwidth in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            fit_kernel(ds, bandwidth=bandwidth)
     coincident = make_dataset([[2.0], [2.0]], [1, 0])
     clf = fit_kernel(coincident)
     assert clf.bandwidth == BANDWIDTH_FLOOR
@@ -102,8 +103,9 @@ def test_weight_formula_and_range():
     b = np.array([0.0, 0.25, 0.5, 1.0])
     w = weight(b, k=10.0)
     np.testing.assert_allclose(w, [-10.0, -5.0, 0.0, 10.0])
-    with pytest.raises(ValidationError):
-        weight(b, k=0.0)
+    for k in (0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            weight(b, k=k)
 
 
 def test_pipeline_scores_pin_labels():

@@ -1,6 +1,8 @@
 """Three-pass composition: labeled passes, matching, and the full run."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,12 @@ def test_params_validation():
     for size in (1, 0, -5):
         with pytest.raises(ValidationError, match="eta_sample_size"):
             AdclustParams(eta_sample_size=size)
+    for name in ("k", "coef_rt", "coef_dt", "bandwidth"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                AdclustParams(**{name: value})
+    with pytest.raises(ValidationError, match="seed"):
+        AdclustParams(seed=-1)
 
 
 def test_adclust_builds_the_rt_graph_once(monkeypatch):

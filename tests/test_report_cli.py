@@ -170,6 +170,59 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
                         "--config", str(negative_draws))) == 2
     assert "eta_sample_size" in capsys.readouterr().err
 
+    # distinct rows whose distances underflow next to a stack of copies:
+    # the extent is fine, the computed rt is zero
+    partial = tmp_path / "partial.csv"
+    pts = np.vstack([rng.uniform(size=(30, 2)) * 1e-300, np.ones((30, 2))])
+    write_csv(str(partial), Dataset(pts, labels))
+    assert main(["cluster", "--input", str(partial),
+                 "--out", str(tmp_path / "o9")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "coincident" in err and "underflow" in err
+
+    def assert_one_error_line(code, *words):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
+
+    # non-finite parameters, a negative seed
+    for flag, value, word in (("--coef-rt", "nan", "coefficients"),
+                              ("--coef-dt", "inf", "coefficients"),
+                              ("--k", "nan", "k must"),
+                              ("--bandwidth", "nan", "bandwidth"),
+                              ("--seed", "-1", "seed")):
+        assert_one_error_line(
+            run_cluster(csv_path, tmp_path / "o10",
+                        (flag, value, "--label-fraction", "0.5")), word)
+    for section, line, word in (("cluster", "log_base = nan", "log_base"),
+                                ("cluster", "exact_density = maybe",
+                                 "exact_density"),
+                                ("game", "cost_c = nan", "cost_c")):
+        config = tmp_path / f"{section}.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        if section == "cluster":
+            code = run_cluster(csv_path, tmp_path / "o11",
+                               ("--config", str(config)))
+        else:
+            code = main(["game", "--preset", "one_adv_log", "--orientation",
+                         "leader", "--config", str(config),
+                         "--out", str(tmp_path / "o11")])
+        assert_one_error_line(code, word)
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"mean": [0, 0], "covariance": [[1, 0], [0, 1]]}')
+    for argv in (["simulate", "--preset", "sim1",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["game", "--preset", "one_adv_log", "--orientation",
+                  "leader", "--out", str(tmp_path / "o12")],
+                 ["sweep", "--kind", "weight", "--preset", "sim1",
+                  "--out", str(tmp_path / "o12")],
+                 ["sweep", "--kind", "weight", "--input", csv_path,
+                  "--label-fraction", "0.5", "--out", str(tmp_path / "o12")],
+                 ["eta", "--alpha", "0.5", "--stats", str(stats)]):
+        assert_one_error_line(main([*argv, "--seed", "-1"]), "seed")
+
 
 def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
     isolated = tmp_path / "corners.csv"

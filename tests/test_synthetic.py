@@ -89,6 +89,8 @@ def test_component_moments():
 def test_spec_validation():
     with pytest.raises(ValidationError):
         MixtureSpec(components=[])
+    with pytest.raises(ValidationError, match="seed"):
+        two_class_spec(seed=-1)
     with pytest.raises(ValidationError):
         two_class_spec(label_fraction=1.5)
     with pytest.raises(ValidationError):

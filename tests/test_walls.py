@@ -169,8 +169,9 @@ def test_wall_validation():
         Wall(kind="square", stats=stats, level=0.5, radius=1.0)
     with pytest.raises(ValidationError):
         Wall(kind="euclidean", stats=stats, level=1.5, radius=1.0)
-    with pytest.raises(ValidationError):
-        Wall(kind="euclidean", stats=stats, level=0.5, radius=0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            Wall(kind="euclidean", stats=stats, level=0.5, radius=radius)
 
 
 def test_sample_gaussian_moments():
