@@ -278,17 +278,26 @@ def _cmd_sweep(args) -> int:
 def _cmd_eta(args) -> int:
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
-    with open(args.stats) as fh:
-        try:
+    try:
+        with open(args.stats) as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.stats}: invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {args.stats}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{args.stats}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"{args.stats}: expected an object with mean and covariance")
     try:
         mean = np.asarray(payload["mean"], dtype=np.float64)
         cov = np.asarray(payload["covariance"], dtype=np.float64)
     except KeyError as exc:
         raise ValidationError(
             f"{args.stats}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{args.stats}: mean and covariance must be numbers: {exc}"
+        ) from None
     stats = stats_from_moments(mean, cov)
     eta = eta_of_alpha(stats, args.alpha, sample_size=args.samples,
                        seed=args.seed)

@@ -16,17 +16,26 @@ every strategy pair, precomputed into per-adversary tables over the
   alpha; attackers jointly pick the profile maximizing the sum of their
   utilities (ties toward smaller total t, then smaller alpha).
 
-Every payoff entry is one row of a mean along the sample axis, which
-numpy sums exactly as the 1-d mean of direct evaluation does, and every
-pass fraction is an exact count over the sorted scores, so direct
-evaluation and table lookup agree bitwise, and results do not depend on
-BLAS threading.
+Every pass fraction is an exact count over the sorted scores. The count
+never falls as the radius grows, so it splits each t row into decided
+and mixed cells: a radius that passes nothing pays 0.0 (payoffs are
+never negative, so that is the masked mean exactly), one that passes
+everything pays the plain mean of the payoffs, and only the radii in
+between take the masked mean. Every payoff entry is one row of a mean
+along the sample axis, which numpy sums exactly as the 1-d mean of
+direct evaluation does, so direct evaluation and table lookup agree
+bitwise, and results do not depend on BLAS threading.
+
+The follower search streams the joint profiles in chunks and takes the
+defender's best responses for a whole chunk at once, through the same
+elementwise operations as for one profile: every entry is bitwise the
+one-profile value, and memory is bounded by the chunk, not the lattice.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -37,6 +46,9 @@ from .walls import RegionStats, Wall, chi2_quantile, eta_of_alpha, \
 
 # Radii whose payoff means build_tables takes in one (chunk, sample) array.
 _ALPHA_CHUNK = 16
+# Attack profiles whose defender responses solve_follower takes in one
+# (chunk, alpha) array.
+_PROFILE_CHUNK = 128
 
 
 @dataclass
@@ -220,11 +232,19 @@ def build_tables(config: GameConfig) -> GameTables:
             moved = apply_attack(sample, mu_g, float(t))
             pay = util.payoff(movement_cost(sample, moved))
             s = wall.score(moved)
-            for lo in range(0, len(radii), _ALPHA_CHUNK):
-                inside = s <= radii[lo:lo + _ALPHA_CHUNK, None]
-                a_tab[it, lo:lo + _ALPHA_CHUNK] = \
-                    np.where(inside, pay, 0.0).mean(axis=1)
-            e_tab[it] = np.searchsorted(np.sort(s), radii, side="right") / s.size
+            passed = np.searchsorted(np.sort(s), radii, side="right")
+            e_tab[it] = passed / s.size
+            # passed never falls as the radius grows: radii below lo pass
+            # nothing (pay >= 0, so the mean is 0.0), radii from hi on pass
+            # everything (the mean of pay, as the same row reduction)
+            lo = np.searchsorted(passed, 0, side="right")
+            hi = np.searchsorted(passed, s.size)
+            a_tab[it, :lo] = 0.0
+            a_tab[it, hi:] = pay[None, :].mean(axis=1)
+            for start in range(lo, hi, _ALPHA_CHUNK):
+                stop = min(start + _ALPHA_CHUNK, hi)
+                inside = s <= radii[start:stop, None]
+                a_tab[it, start:stop] = np.where(inside, pay, 0.0).mean(axis=1)
         attacker.append(a_tab)
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,
@@ -284,16 +304,23 @@ def solve_follower(tables: GameTables) -> Equilibrium:
         raise GridBudgetError("grid budget exceeded; increase step")
 
     best = None
-    for combo in product(t_indices, repeat=m):
-        pooled = _pooled_error(tables, [tab[j] for tab, j
-                                        in zip(tables.adv_error, combo)])
-        d_row = defender_utility(tables.normal_error, pooled, config.cost_c)
-        ih = int(d_row.argmax())
-        score = math.fsum(tables.attacker[i][combo[i], ih] for i in range(m))
-        sum_t = math.fsum(tables.ts[j] for j in combo)
-        key = (score, -sum_t, -ih, tuple(-j for j in combo))
-        if best is None or key > best[0]:
-            best = (key, combo, ih, d_row[ih])
+    profiles = product(t_indices, repeat=m)
+    while chunk := list(islice(profiles, _PROFILE_CHUNK)):
+        combos = np.array(chunk)
+        # the same elementwise operations as for one profile, so each
+        # (profile, alpha) entry is bitwise the one-profile value
+        pooled = _pooled_error(tables, [tab[combos[:, i]] for i, tab
+                                        in enumerate(tables.adv_error)])
+        d_rows = defender_utility(tables.normal_error, pooled, config.cost_c)
+        best_ih = d_rows.argmax(axis=1)
+        pays = np.stack([tab[combos[:, i], best_ih] for i, tab
+                         in enumerate(tables.attacker)], axis=1)
+        for combo, ih, pay, d_row in zip(chunk, best_ih.tolist(),
+                                         pays.tolist(), d_rows):
+            key = (math.fsum(pay), -math.fsum(tables.ts[j] for j in combo),
+                   -ih, tuple(-j for j in combo))
+            if best is None or key > best[0]:
+                best = (key, combo, ih, d_row[ih])
     _, combo, ih, d_val = best
     return _equilibrium(tables, "follower", ih, combo, d_val)
 

@@ -1,16 +1,20 @@
 """Contraction game: payoffs, attack moves, tables, and both solvers."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
 from adclust.errors import GridBudgetError, ValidationError
-from adclust.game import (Equilibrium, GameConfig, PopulationSpec,
-                          UtilitySpec, apply_attack, attacker_utility,
-                          build_tables, defender_utility, movement_cost,
-                          solve_follower, solve_game, solve_leader)
+from adclust.game import (_ALPHA_CHUNK, Equilibrium, GameConfig,
+                          PopulationSpec, UtilitySpec, apply_attack,
+                          attacker_utility, build_tables, defender_utility,
+                          movement_cost, solve_follower, solve_game,
+                          solve_leader)
 from adclust.synthetic import game_preset
 from adclust.walls import Wall, eta_of_alpha, sample_gaussian
 
@@ -123,21 +127,54 @@ def test_attacker_utility_direct_matches_tables_bitwise():
         assert direct == tables.attacker[0][it, ih]
 
 
+def same_bits(a, b) -> bool:
+    """Float equality that also tells 0.0 from -0.0."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_tables_match_direct_evaluation(config, tables):
+    """Every cell of every adversary's tables equals attacker_utility and
+    the pass rate evaluated directly, bitwise."""
+    for i, (spec, util) in enumerate(zip(config.adversaries,
+                                         config.utilities)):
+        sample = draw(spec)
+        for ih in range(len(tables.alphas)):
+            wall = wall_at(config, tables, ih)
+            for it, t in enumerate(tables.ts.tolist()):
+                s = wall.score(apply_attack(sample, tables.mu_g, t))
+                direct = attacker_utility(util, sample, tables.mu_g, t, wall)
+                assert same_bits(direct, tables.attacker[i][it, ih]), \
+                    (i, it, ih)
+                assert same_bits((s <= wall.radius).mean(),
+                                 tables.adv_error[i][it, ih]), (i, it, ih)
+
+
 @pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
 def test_every_table_cell_matches_direct_evaluation_bitwise(wall_kind):
     # 19 radii: one full alpha chunk and a partial one
     config = small_config(sample_size=1000, wall_kind=wall_kind,
                           alpha_step=0.05, t_step=0.05)
+    assert_tables_match_direct_evaluation(config, build_tables(config))
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_every_three_adversary_cell_matches_direct_evaluation_bitwise(
+        wall_kind):
+    config = dataclasses.replace(
+        game_preset("three_adv_log", wall_kind=wall_kind, sample_size=200),
+        alpha_step=0.02, t_step=0.1)
     tables = build_tables(config)
-    sample = draw(config.adversaries[0])
-    for ih in range(len(tables.alphas)):
-        wall = wall_at(config, tables, ih)
-        for it, t in enumerate(tables.ts.tolist()):
-            s = wall.score(apply_attack(sample, tables.mu_g, t))
-            direct = attacker_utility(config.utilities[0], sample,
-                                      tables.mu_g, t, wall)
-            assert direct == tables.attacker[0][it, ih]
-            assert (s <= wall.radius).mean() == tables.adv_error[0][it, ih]
+    # each adversary has cells where nothing, part and everything passes,
+    # all three in one row, and some row's partial cells span two alpha
+    # chunks
+    widest = 0
+    for err in tables.adv_error:
+        none, part, full = err == 0.0, (err > 0.0) & (err < 1.0), err == 1.0
+        assert none.any() and part.any() and full.any()
+        assert (none.any(axis=1) & part.any(axis=1) & full.any(axis=1)).any()
+        widest = max(widest, part.sum(axis=1).max())
+    assert widest > _ALPHA_CHUNK
+    assert_tables_match_direct_evaluation(config, tables)
 
 
 def test_pass_rate_never_decreases_with_contraction():
@@ -224,6 +261,72 @@ def test_follower_profile_maximizes_attacker_sum():
         ih = int(d_row.argmax())
         best = max(best, float(tables.attacker[0][it, ih]))
     assert math.isclose(eq.attacker_utilities[0], best, rel_tol=0, abs_tol=0)
+
+
+def brute_force_follower(tables):
+    """The follower equilibrium by plain enumeration of the joint t
+    lattice under the full tie key, and the set of attacker-sum scores."""
+    config = tables.config
+    stride = round(config.joint_t_step / config.t_step)
+    t_indices = list(range(0, len(tables.ts), stride))
+    assert tables.ts[t_indices[-1]] == 1.0
+    sizes = [float(spec.sample_size) for spec in config.adversaries]
+    best, scores = None, set()
+    for combo in product(t_indices, repeat=len(sizes)):
+        weighted = [w * tab[j] for w, tab, j
+                    in zip(sizes, tables.adv_error, combo)]
+        pooled = weighted[0]
+        for row in weighted[1:]:
+            pooled = pooled + row
+        pooled = pooled / sum(sizes)
+        d_row = -100.0 * (tables.normal_error + config.cost_c * pooled)
+        ih = max(range(len(d_row)), key=lambda h: (d_row[h], -h))
+        score = math.fsum(tab[j, ih] for tab, j in zip(tables.attacker, combo))
+        scores.add(score)
+        key = (score, -math.fsum(tables.ts[j] for j in combo), -ih,
+               tuple(-j for j in combo))
+        if best is None or key > best[0]:
+            best = (key, combo, ih, d_row[ih])
+    _, combo, ih, d_val = best
+    return Equilibrium(
+        orientation="follower", wall_kind=config.wall_kind,
+        alpha=float(tables.alphas[ih]), radius=float(tables.radii[ih]),
+        t=tuple(float(tables.ts[j]) for j in combo),
+        defender_utility=float(d_val),
+        attacker_utilities=tuple(float(tab[j, ih]) for tab, j
+                                 in zip(tables.attacker, combo)),
+        alpha_index=ih, t_indices=combo), scores
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["ordinary", "frozen"])
+def test_three_adversary_follower_matches_brute_force(frozen):
+    # 50 normal draws leave ties between adjacent radii in the defender's
+    # rows, so the first-argmax rule shapes the result as well
+    config = game_preset("three_adv_log", wall_kind="manhattan",
+                         sample_size=50)
+    if frozen:
+        # k_max = 1 caps every exp payoff at 1 - exp(a cost) <= 0
+        config = dataclasses.replace(
+            config, utilities=[UtilitySpec("exp", a=1.0, k_max=1.0)] * 3)
+    tables = build_tables(config)
+    expected, scores = brute_force_follower(tables)
+    assert (scores == {0.0}) == frozen
+    assert solve_follower(tables) == expected
+
+
+def test_follower_memory_stays_below_one_profile_table():
+    # 21^3 = 9261 joint profiles x 99 radii: one float64 array over the
+    # whole lattice would take 7.3 MB
+    tables = build_tables(game_preset("three_adv_log", sample_size=50))
+    n_profiles = 21 ** len(tables.attacker)
+    full = n_profiles * len(tables.alphas) * 8
+    tracemalloc.start()
+    try:
+        solve_follower(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 2, (peak, full)
 
 
 def test_grid_budget_guard():

@@ -423,3 +423,19 @@ def test_eta_cli_rejects_bad_stats_files(tmp_path):
     nan_mean.write_text(json.dumps(
         {"mean": [float("nan"), 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}))
     assert main(["eta", "--alpha", "0.8", "--stats", str(nan_mean)]) == 2
+
+
+@pytest.mark.parametrize("content, word", [
+    (None, "cannot read"),
+    ("[[0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]]", "object"),
+    ('{"mean": "abc", "covariance": [[1.0, 0.0], [0.0, 1.0]]}', "numbers"),
+], ids=["missing_file", "json_list", "non_numeric_mean"])
+def test_eta_cli_reports_unusable_stats_files(tmp_path, capsys, content,
+                                              word):
+    stats = tmp_path / "stats.json"
+    if content is not None:
+        stats.write_text(content)
+    assert main(["eta", "--alpha", "0.8", "--stats", str(stats)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert word in err and "stats.json" in err
