@@ -54,10 +54,15 @@ _GAME_FIELDS = {
 def _read_config(path: str | None, section: str, fields: dict) -> dict:
     if not path:
         return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValidationError(f"cannot read config {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
+    except configparser.Error as exc:
+        detail = " ".join(str(exc).split())  # one line for the error report
+        raise ValidationError(f"cannot parse config {path}: {detail}") from None
     if section not in parser:
         return {}
     out = {}
@@ -279,7 +284,7 @@ def _cmd_eta(args) -> int:
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
     try:
-        with open(args.stats) as fh:
+        with open(args.stats, encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {args.stats}: {exc}") from None

@@ -7,6 +7,7 @@ dataset for evaluation; the clustering itself never reads it.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,17 @@ def label_token(code: int) -> str:
     return _TOKEN_OF[int(code)]
 
 
+def _csv_rows(path: str):
+    """csv.reader over the whole UTF-8 text of path; a file that cannot
+    be opened or decoded is a ValidationError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def ingest_csv(path: str, label_column: str = "label",
                label_fraction: float | None = None,
                seed: int = 0) -> tuple[Dataset, IngestInfo]:
@@ -98,54 +110,49 @@ def ingest_csv(path: str, label_column: str = "label",
     keeps its labels and the rest are blanked; the original labels are
     returned as truth.
     """
+    reader = _csv_rows(path)
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if label_column in header:
-            label_idx = header.index(label_column)
-        else:
-            label_idx = None
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
-            raise ValidationError(f"{path}: no feature columns")
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        dropped: list[int] = []
-        for rownum, raw in enumerate(reader, start=1):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            if len(raw) != len(header):
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if label_column in header:
+        label_idx = header.index(label_column)
+    else:
+        label_idx = None
+    feat_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feat_idx:
+        raise ValidationError(f"{path}: no feature columns")
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    dropped: list[int] = []
+    for rownum, raw in enumerate(reader, start=1):
+        if not raw or all(not c.strip() for c in raw):
+            continue
+        if len(raw) != len(header):
+            raise ValidationError(
+                f"{path}: row {rownum} has {len(raw)} cells, expected {len(header)}")
+        vals = []
+        for i in feat_idx:
+            cell = raw[i].strip()
+            try:
+                vals.append(float(cell))
+            except ValueError:
                 raise ValidationError(
-                    f"{path}: row {rownum} has {len(raw)} cells, expected {len(header)}")
-            vals = []
-            for i in feat_idx:
-                cell = raw[i].strip()
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: non-numeric value {cell!r} at row {rownum}, "
-                        f"column {header[i]!r}") from None
-            if not all(np.isfinite(v) for v in vals):
-                dropped.append(rownum)
-                continue
-            if label_idx is not None:
-                token = raw[label_idx].strip()
-                if token not in _LABEL_TOKENS:
-                    raise ValidationError(
-                        f"{path}: unknown label token {token!r} at row {rownum}")
-                labels.append(_LABEL_TOKENS[token])
-            else:
-                labels.append(LABEL_NONE)
-            rows.append(vals)
+                    f"{path}: non-numeric value {cell!r} at row {rownum}, "
+                    f"column {header[i]!r}") from None
+        if not all(np.isfinite(v) for v in vals):
+            dropped.append(rownum)
+            continue
+        if label_idx is not None:
+            token = raw[label_idx].strip()
+            if token not in _LABEL_TOKENS:
+                raise ValidationError(
+                    f"{path}: unknown label token {token!r} at row {rownum}")
+            labels.append(_LABEL_TOKENS[token])
+        else:
+            labels.append(LABEL_NONE)
+        rows.append(vals)
     if not rows:
         raise ValidationError(f"{path}: no usable rows")
     points = np.array(rows, dtype=np.float64)
@@ -181,28 +188,23 @@ def read_truth_csv(path: str, label_column: str = "label") -> np.ndarray:
     """
     tokens = dict(_LABEL_TOKENS)
     tokens["unknown"] = TRUTH_UNKNOWN
+    reader = _csv_rows(path)
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValidationError(f"{path}: no {label_column!r} column")
-        idx = header.index(label_column)
-        out: list[int] = []
-        for rownum, raw in enumerate(reader, start=1):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            token = raw[idx].strip() if idx < len(raw) else ""
-            if token not in tokens:
-                raise ValidationError(
-                    f"{path}: unknown label token {token!r} at row {rownum}")
-            out.append(tokens[token])
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValidationError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise ValidationError(f"{path}: no {label_column!r} column")
+    idx = header.index(label_column)
+    out: list[int] = []
+    for rownum, raw in enumerate(reader, start=1):
+        if not raw or all(not c.strip() for c in raw):
+            continue
+        token = raw[idx].strip() if idx < len(raw) else ""
+        if token not in tokens:
+            raise ValidationError(
+                f"{path}: unknown label token {token!r} at row {rownum}")
+        out.append(tokens[token])
     return np.array(out, dtype=np.int8)
 
 

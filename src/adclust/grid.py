@@ -6,10 +6,12 @@ Neighborhood means are exact multiset means: every mean here is the
 correctly rounded sum of its values divided by their count, which makes
 rt and dt bit-identical under any permutation of the points and lets an
 independent oracle reproduce them exactly with math.fsum. Distance rows
-are summed by _exact_row_sums, a certified TwoSum tree with an fsum
-fallback (Ogita, Rump & Oishi 2005; Rump, Ogita & Oishi 2008); short
-lists of means by math.fsum; the integer n(p) of a cell by an exact
-integer sum.
+are summed by _exact_row_sums: one exact split of each row at a power of
+two (Rump, Ogita & Oishi's ExtractVector, 2008) gives a high part that
+sums exactly and a low part whose float sum errs by less than a known
+bound, and a row keeps the result only where that bound certifies it,
+falling back to fsum otherwise; short lists of means are summed by
+math.fsum; the integer n(p) of a cell by an exact integer sum.
 
 build_grid sorts the points by cell key once (a stable np.lexsort):
 Grid.cells lists the occupied keys in sorted order, ids ascending, and
@@ -48,9 +50,10 @@ Pairs = tuple[np.ndarray, np.ndarray]
 # block takes, so its memory stays bounded.
 _BLOCK_ELEMENTS = 1 << 15
 
-# Narrowest block _exact_row_sums sums with its TwoSum tree; narrower
-# blocks go row by row to math.fsum, which is faster there.
-_TREE_COLUMNS = 64
+# Fewest values (rows x columns) a block needs before _exact_row_sums
+# splits its rows at a power of two; smaller blocks go row by row to
+# math.fsum, which is faster there (the two cross near 800-900 values).
+_SPLIT_ELEMENTS = 1024
 
 
 @dataclass
@@ -97,51 +100,41 @@ def _exact_row_sums(block: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-d block of nonnegative
     finite float64 values, bitwise equal to math.fsum(row).
 
-    Blocks of at least _TREE_COLUMNS columns go through a pairwise TwoSum
-    tree (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
-    Sci. Comput. 2005): each level adds the right half of the columns to
-    the left half (after a zero column when the width is odd), and the
-    exact error of every addition is summed into lo. A row keeps
-    fl(hi + lo) only when the exact tail of hi + lo plus a bound on the
-    error of lo is strictly below half the gap to the next float down,
-    which makes it the correct rounding (the certificate behind Rump,
-    Ogita & Oishi's AccSum/NearSum, 2008); so does an all-zero row,
-    whose sum 0 has no gap below it. Every other row, and every row of a
-    narrower block, goes to math.fsum.
-
-    The bound, for C columns, L levels and u = 2^-53: all summands are
-    nonnegative, so the errors add up to at most L u hi (1 + 3 L u), and
-    summing those at most C + L terms in any order errs by less than
-    2.02 C L u^2 hi. The test hi 16 C L u^2 < half gap - |tail| covers
-    that and its own roundings; a product that underflows errs by less
-    than the subnormal step the strict test leaves.
+    Blocks of at least _SPLIT_ELEMENTS values split every row once at a
+    power of two (ExtractVector, the first step of AccSum in Rump, Ogita
+    & Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci.
+    Comput. 2008). For a row of width w whose max is below 2^e, take
+    sigma = 2^(e + m) with 2^m >= w + 2 and u = 2^-53. Then high =
+    fl(fl(x + sigma) - sigma) is a multiple of 2 u sigma, so the highs
+    sum exactly in any order, and low = x - high is exact with |low| <=
+    u sigma, so the float sum of the lows errs by less than 2 w^2 u^2
+    sigma. A row keeps fl(t1 + t2), t1 and t2 the sums of its highs and
+    lows, only when that bound plus the exact tail of t1 + t2 is strictly
+    below half the gap to the next float down, which makes it the
+    correct rounding (the certificate behind AccSum/NearSum); so does an
+    all-zero row. Every other row, rows whose sigma would pass 2^1023,
+    and every row of a smaller block go to math.fsum. The comparison
+    doubles the bound to cover its own roundings; a bound that underflows
+    is still safe, since every error is a multiple of the subnormal step.
     """
-    rows, width = block.shape
-    if width < _TREE_COLUMNS:
+    width = block.shape[1]
+    if block.size < _SPLIT_ELEMENTS:
         return np.array([math.fsum(row) for row in block.tolist()])
-    hi = block
-    errors = []
-    while hi.shape[1] > 1:
-        if hi.shape[1] % 2:
-            hi = np.concatenate([hi, np.zeros((rows, 1))], axis=1)
-        half = hi.shape[1] // 2
-        a, b = hi[:, :half], hi[:, half:]
-        s = a + b
-        z = s - a
-        e = s - z
-        np.subtract(a, e, out=e)
-        np.subtract(b, z, out=z)
-        e += z
-        errors.append(e)
-        hi = s
-    hi = hi[:, 0]
-    lo = np.concatenate(errors, axis=1).sum(axis=1)
-    total = hi + lo
-    z = total - hi
-    tail = (hi - (total - z)) + (lo - z)
+    top = block.max(axis=1)
+    exp = np.frexp(top)[1] + (width + 1).bit_length()
+    fits = exp <= 1023
+    x = block if fits.all() else block * fits[:, None]
+    sigma = np.ldexp(1.0, np.minimum(exp, 1023))
+    high = x + sigma[:, None]
+    high -= sigma[:, None]
+    t1 = high.sum(axis=1)
+    t2 = np.subtract(x, high, out=high).sum(axis=1)
+    total = t1 + t2
+    z = total - t1
+    tail = (t1 - (total - z)) + (t2 - z)
     half_gap = 0.5 * (total - np.nextafter(total, 0.0))
-    scale = 16.0 * width * width.bit_length() * 2.0 ** -106
-    certified = (hi * scale < half_gap - np.abs(tail)) | (hi == 0.0)
+    bound = sigma * (4.0 * width * width * 2.0 ** -106)
+    certified = ((bound < half_gap - np.abs(tail)) & fits) | (top == 0.0)
     for i in np.flatnonzero(~certified).tolist():
         total[i] = math.fsum(block[i].tolist())
     return total

@@ -5,10 +5,10 @@ labeled points: b(p) = sum_i y_i K(p, x_i) / sum_i K(p, x_i) with
 K(p, x) = exp(-||p - x||^2 / (2 bandwidth^2)) and y = 1 for normal,
 0 for abnormal. ||p - x|| and the default bandwidth follow grid.py's
 distance convention (squared differences summed in dimension order).
-Kernel sums are correctly rounded (grid._exact_row_sums: a certified
-TwoSum tree with an fsum fallback, after Ogita, Rump & Oishi 2005 and
-Rump, Ogita & Oishi 2008), so scores do not depend on the order of the
-labeled points.
+Kernel sums are correctly rounded (grid._exact_row_sums: one exact
+split of each row at a power of two, certified by an error bound, with
+an fsum fallback; after Rump, Ogita & Oishi's ExtractVector/AccSum,
+2008), so scores do not depend on the order of the labeled points.
 """
 from __future__ import annotations
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import oracle_grid_cells, oracle_thresholds
 
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (_TREE_COLUMNS, _exact_row_sums, _neighborhoods,
+from adclust.grid import (_SPLIT_ELEMENTS, _exact_row_sums, _neighborhoods,
                           build_grid, compute_density, compute_dt, compute_rt)
+from adclust.walls import sample_gaussian
 
-W = _TREE_COLUMNS
+G = _SPLIT_ELEMENTS
+W = 64  # width of the hand-built test rows
 
 
 def lattice_q3():
@@ -326,42 +329,52 @@ def padded(values, width=W):
     return row
 
 
+def with_zero_rows(block):
+    """block on top of enough all-zero rows to reach _SPLIT_ELEMENTS
+    values, so it takes the split; zero rows never go to math.fsum."""
+    rows = max(len(block), -(-G // block.shape[1]))
+    return np.vstack([block, np.zeros((rows - len(block), block.shape[1]))])
+
+
 def test_exact_row_sums_send_half_ulp_ties_to_fsum(monkeypatch):
     u = 2.0 ** -53
-    block = np.array([
+    ties = np.array([
         # an exact tie: 1 + u rounds to even, 1.0
         padded([1.0, u]),
-        # just above a tie: lo drops u^2 / 4, so fl(hi + lo) would be
-        # 1.0 where the correct rounding is 1 + 2u
+        # just above a tie: the lows' float sum drops u^2 / 4, so
+        # fl(t1 + t2) would be 1.0 where the correct rounding is 1 + 2u
         padded([1.0, u, u * u / 4]),
-        # just below a tie, closer than the bound on lo's error
+        # just below a tie, closer than the bound on the lows' error
         padded([1.0 + 2 * u, u - u * u]),
         # just above the tie between 3 and 3 + 4u
         padded([3.0, 2 * u, u ** 3]),
     ])
+    block = with_zero_rows(ties)
     expected = fsum_rows(block)
-    assert expected.tolist() == [1.0, 1.0 + 2 * u, 1.0 + 2 * u, 3.0 + 4 * u]
+    assert expected[:4].tolist() == [1.0, 1.0 + 2 * u, 1.0 + 2 * u, 3.0 + 4 * u]
     sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, expected)
-    assert fallbacks == len(block)
+    assert fallbacks == len(ties)
     # shuffled columns reach the same sums
     perm = np.random.default_rng(1).permutation(W)
     assert_bitwise(_exact_row_sums(block[:, perm]), expected)
 
 
 def test_exact_row_sums_bound_the_error_of_lo(monkeypatch):
-    # Placed where the tree adds each small value to 1.5 on its own
-    # level, so each becomes one error term. lo sums those terms to
-    # u - 2^-106 and drops the 3c that lift the exact sum above the tie
-    # 1.5 + u: the tail alone is below half the gap, the bound on lo's
-    # error is not.
+    # The row max 1.5 gives sigma = 2^8, so every other value here is a
+    # pure low. numpy sums a row of 64 in eight strided accumulators, and
+    # the three c share one with u - 2^-106, each lost to it: t2 = u -
+    # 2^-106 drops the 3c that lift the exact sum above the tie 1.5 + u.
+    # The tail alone is below half the gap, the bound on the lows' error
+    # is not.
     u = 2.0 ** -53
     c = 1.75 * 2.0 ** -108
     row = np.zeros(W)
-    row[0], row[W // 2] = 1.5, u - 2.0 ** -106
-    row[[W // 4, W // 8, W // 16]] = c
-    sums, fallbacks = row_sums_and_fallbacks(row[None], monkeypatch)
-    assert_bitwise(sums, np.array([1.5 + 2 * u]))
+    row[0], row[1] = 1.5, u - 2.0 ** -106
+    row[[9, 17, 25]] = c
+    sums, fallbacks = row_sums_and_fallbacks(with_zero_rows(row[None]),
+                                             monkeypatch)
+    assert_bitwise(sums[:1], np.array([1.5 + 2 * u]))
     assert math.fsum(row) == 1.5 + 2 * u
     assert fallbacks == 1
 
@@ -378,8 +391,10 @@ def test_exact_row_sums_zeros_and_single_values(monkeypatch):
     block = np.zeros((3, W))
     block[1, 17] = 0.1
     block[2, W - 1] = 5e-324
-    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
-    assert_bitwise(sums, np.array([0.0, 0.1, 5e-324]))
+    sums, fallbacks = row_sums_and_fallbacks(with_zero_rows(block),
+                                             monkeypatch)
+    assert_bitwise(sums[:3], np.array([0.0, 0.1, 5e-324]))
+    assert not sums[3:].any()
     assert fallbacks == 1  # half the gap above 5e-324 underflows to 0
     assert_bitwise(_exact_row_sums(np.array([[2.5], [0.0]])),
                    np.array([2.5, 0.0]))
@@ -387,23 +402,110 @@ def test_exact_row_sums_zeros_and_single_values(monkeypatch):
 
 def test_exact_row_sums_subnormals_and_wide_exponent_range():
     rng = np.random.default_rng(3)
-    tiny = rng.integers(0, 1 << 20, size=(8, W + 3)) * 5e-324
-    mixed = np.where(rng.uniform(size=(8, 2 * W)) < 0.5, 1e300, 1e-300)
+    tiny = rng.integers(0, 1 << 20, size=(16, W + 3)) * 5e-324
+    mixed = np.where(rng.uniform(size=(16, 2 * W)) < 0.5, 1e300, 1e-300)
     mixed *= rng.uniform(0.5, 1.5, size=mixed.shape)
-    spread = rng.uniform(size=(8, W)) * 10.0 ** rng.integers(-300, 300,
-                                                             size=(8, W))
+    spread = rng.uniform(size=(16, W)) * 10.0 ** rng.integers(-300, 300,
+                                                              size=(16, W))
     for block in (tiny, mixed, spread):
+        assert block.size >= G
         assert_bitwise(_exact_row_sums(block), fsum_rows(block))
 
 
-@pytest.mark.parametrize("width", [W - 1, W, W + 1])
+@pytest.mark.parametrize("width", [G // 16 - 1, G // 16, G // 16 + 1])
 def test_exact_row_sums_at_the_width_gate(width, monkeypatch):
+    # 16 rows: these widths put the block just below, at and just above
+    # the gate on rows x columns.
     rng = np.random.default_rng(width)
-    block = rng.uniform(size=(25, width)) ** 3
+    block = rng.uniform(size=(16, width)) ** 3
     block[0] = padded([1.0, 2.0 ** -53, 2.0 ** -108], width)
     sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, fsum_rows(block))
-    assert fallbacks == (25 if width < W else 1)
+    assert fallbacks == (16 if block.size < G else 1)
+
+
+@pytest.mark.parametrize("rows, width, split", [
+    (1, 2 * W, False), (2, 2 * W, False), (G // 8, 8, True)],
+    ids=["1x128", "2x128", "128x8"])
+def test_exact_row_sums_gate_on_elements_not_width(rows, width, split,
+                                                   monkeypatch):
+    block = np.sqrt(np.random.default_rng(rows).uniform(size=(rows, width)))
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    if split:
+        # sums of 8 values often land on exact half-ulp ties, which still
+        # go to fsum
+        assert fallbacks < rows // 4
+    else:
+        assert fallbacks == rows
+
+
+@pytest.mark.parametrize("width", [126, 254])
+def test_exact_row_sums_width_plus_two_a_power_of_two(width, monkeypatch):
+    # 2^m = width + 2 exactly: the highs of rows at their max sum to
+    # width 2^e, the closest they come to sigma = 2^(e + m). (The highs
+    # stay exact up to 2 sigma, so an m one short still passes; two
+    # short does not.)
+    rng = np.random.default_rng(width)
+    top = np.nextafter(2.0, 0.0)
+    block = np.vstack([np.full((4, width), top),
+                       top - rng.uniform(size=(12, width)) * 2.0 ** -40,
+                       rng.uniform(size=(12, width)) * top])
+    block[:, 0] = top
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    assert fallbacks == 0
+
+
+def test_exact_row_sums_row_max_a_power_of_two(monkeypatch):
+    rng = np.random.default_rng(5)
+    tops = 2.0 ** np.arange(-30, 31, 4)
+    block = rng.uniform(size=(tops.size, W)) * tops[:, None]
+    block[:, 3] = tops
+    block = with_zero_rows(block)
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    assert fallbacks == 0
+
+
+def test_exact_row_sums_huge_rows_go_to_fsum(monkeypatch):
+    # sigma = 2^(e + 7) for 64 columns passes 2^1023 once the row max
+    # reaches 2^1016 (e = 1017): the last three rows. The others still
+    # take the split.
+    rng = np.random.default_rng(6)
+    exps = np.array([1000, 1010, 1016, 1017, 1017, 1018])
+    block = rng.uniform(0.5, 1.0, size=(exps.size, W)) * 2.0 ** exps[:, None]
+    block = with_zero_rows(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, fsum_rows(block))
+    assert fallbacks == 3
+
+
+def test_compute_rt_blocks_certify_on_a_q2_mixture(monkeypatch):
+    cov = 0.4 * np.eye(2)
+    points = np.vstack([
+        sample_gaussian(np.array(mean), cov, size, seed)
+        for seed, (mean, size) in enumerate([((0.5, -1.0), 1500),
+                                             ((1.0, -1.0), 1500),
+                                             ((1.0, 1.0), 1500),
+                                             ((4.5, 4.5), 500)])])
+    seen = {"values": 0, "split": 0, "fallbacks": 0}
+
+    def counting(block, row_sums=_exact_row_sums):
+        seen["values"] += block.size
+        if block.size < G:
+            return row_sums(block)
+        sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+        seen["split"] += block.size
+        seen["fallbacks"] += fallbacks
+        return sums
+
+    monkeypatch.setattr(grid_module, "_exact_row_sums", counting)
+    compute_rt(build_grid(points), points, coef_rt=2.0)
+    assert seen["split"] > 0.99 * seen["values"]
+    assert seen["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("points, target_fraction", [
@@ -412,7 +514,7 @@ def test_exact_row_sums_at_the_width_gate(width, monkeypatch):
 def test_wide_neighborhoods_match_oracle(points, target_fraction):
     grid = build_grid(points, target_fraction)
     hoods = _neighborhoods(grid)
-    assert max(nb.size for nb in hoods) >= W
+    assert max(m.size * nb.size for m, nb in zip(grid.cells.values(), hoods)) >= G
     rt, a_p, d_c = compute_rt(grid, points, coef_rt=1.0)
     n_p = compute_density(grid, points, rt)
     dt, n_c = compute_dt(grid, n_p)

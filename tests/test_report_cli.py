@@ -439,3 +439,36 @@ def test_eta_cli_reports_unusable_stats_files(tmp_path, capsys, content,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert word in err and "stats.json" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("cluster", "--input"), ("cluster", "--truth"), ("cluster", "--config"),
+    ("sweep", "--input")],
+    ids=["cluster_input", "cluster_truth", "cluster_config", "sweep_input"])
+def test_non_utf8_files_exit_two(tmp_path, capsys, command, flag):
+    csv_path = blob_csv(tmp_path / "d.csv")
+    latin = tmp_path / "latin1.txt"
+    latin.write_bytes(b"x0,x1,label\n1.0,2.0,\xff\n")
+    args = {"--input": csv_path, "--out": str(tmp_path / "out")}
+    args[flag] = str(latin)
+    argv = [command] + (["--kind", "weight"] if command == "sweep" else [])
+    argv += [part for item in args.items() for part in item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+    assert "latin1.txt" in err and "utf-8" in err
+
+
+@pytest.mark.parametrize("content, words", [
+    ("coef_rt = 0.9\n", "cannot parse config"),
+    ("[cluster]\ncoef_rt = 0.9\ncoef_rt = 1.1\n", "cannot parse config"),
+    ("[cluster]\nalpha = 5%\n", "'alpha': cannot parse '5%'")],
+    ids=["no_section_header", "duplicate_key", "percent_sign"])
+def test_malformed_config_exits_two(tmp_path, capsys, content, words):
+    config = tmp_path / "run.ini"
+    config.write_text(content)
+    assert main(["cluster", "--input", blob_csv(tmp_path / "d.csv"),
+                 "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
