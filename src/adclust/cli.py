@@ -80,7 +80,10 @@ def _read_config(path: str | None, section: str, fields: dict) -> dict:
 
 
 def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -96,21 +99,23 @@ def _params_from_args(args, overrides: dict) -> AdclustParams:
     return AdclustParams(**fields)
 
 
-def _check_truth_rows(truth, dataset) -> None:
+def _load_csv(args, seed: int, truth):
+    """Ingest --input; an explicit truth wins over the pre-blanking labels."""
+    dataset, info = ingest_csv(args.input, label_column=args.label_column,
+                               label_fraction=args.label_fraction, seed=seed)
+    truth = info.truth if truth is None else truth
     if truth is not None and truth.shape[0] != dataset.n:
         raise ValidationError(
             f"truth rows ({truth.shape[0]}) do not match dataset rows "
             f"({dataset.n})")
+    return dataset, truth, info
 
 
 def _cmd_cluster(args) -> int:
     overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
     params = _params_from_args(args, overrides)
-    dataset, info = ingest_csv(args.input, label_column=args.label_column,
-                               label_fraction=args.label_fraction,
-                               seed=params.seed)
-    truth = read_truth_csv(args.truth) if args.truth else info.truth
-    _check_truth_rows(truth, dataset)
+    dataset, truth, info = _load_csv(
+        args, params.seed, read_truth_csv(args.truth) if args.truth else None)
 
     start = time.perf_counter()
     result = adclust(dataset, params)
@@ -144,14 +149,15 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_simulate(args) -> int:
     dataset, truth, _ = simulation_preset(args.preset, seed=args.seed)
-    out_path = args.out
-    parent = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(parent, exist_ok=True)
-    write_csv(out_path, dataset)
-    stem, ext = os.path.splitext(out_path)
+    _ensure_out(os.path.dirname(os.path.abspath(args.out)))
+    stem, ext = os.path.splitext(args.out)
     truth_path = f"{stem}.truth{ext or '.csv'}"
-    write_csv(truth_path, dataset, labels=truth)
-    print(f"dataset: {out_path}")
+    try:
+        write_csv(args.out, dataset)
+        write_csv(truth_path, dataset, labels=truth)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from None
+    print(f"dataset: {args.out}")
     print(f"truth:   {truth_path}")
     return 0
 
@@ -183,31 +189,17 @@ def _cmd_game(args) -> int:
     return 0
 
 
-def _sweep_run(task: dict) -> dict:
+def _sweep_run(task: tuple) -> tuple[dict, dict, str]:
     """One grid point; top-level so process pools can pickle it."""
-    if task["preset"] is not None:
-        dataset, truth, params = simulation_preset(
-            task["preset"], seed=task["seed"], k=task["k"],
-            alpha=task["alpha"], wall_kind=task["wall_kind"])
-        params = dataclasses.replace(params, **task["overrides"])
-    else:
-        params = AdclustParams(k=task["k"], alpha=task["alpha"],
-                               wall_kind=task["wall_kind"], seed=task["seed"],
-                               **task["overrides"])
-        dataset, info = ingest_csv(task["input"],
-                                   label_column=task["label_column"],
-                                   label_fraction=task["label_fraction"],
-                                   seed=params.seed)
-        truth = info.truth if task["truth"] is None else task["truth"]
-        _check_truth_rows(truth, dataset)
+    kind, run, dataset, truth, params = task
     result = adclust(dataset, params)
     metrics = cluster_metrics(result, truth)
-    command = {"command": "sweep", "kind": task["kind"], "k": task["k"],
-               "alpha": task["alpha"], "run": task["run"]}
+    command = {"command": "sweep", "kind": kind, "k": params.k,
+               "alpha": params.alpha, "run": run}
     rep = build_cluster_report(dataset, result, truth, command)
     row = {
-        "k": task["k"], "alpha": task["alpha"], "seed": task["seed"],
-        "run": task["run"],
+        "k": params.k, "alpha": params.alpha, "seed": params.seed,
+        "run": run,
         "mixed_count": metrics["region_counts"]["mixed_overlap"],
         "outlier_count": metrics["region_counts"]["outlier"],
         "mixed_plus_outliers": metrics["mixed_plus_outliers"],
@@ -215,9 +207,7 @@ def _sweep_run(task: dict) -> dict:
         "wall_purity": metrics["wall_purity"],
         "wall_count": metrics["wall_count"],
     }
-    return {"row": row, "report": rep,
-            "name": f"report_k{task['k']:g}_a{task['alpha']:g}"
-                    f"_r{task['run']}.json"}
+    return row, rep, f"report_k{params.k:g}_a{params.alpha:g}_r{run}.json"
 
 
 _SWEEP_COLUMNS = ["k", "alpha", "seed", "run", "mixed_count", "outlier_count",
@@ -235,48 +225,51 @@ def _cmd_sweep(args) -> int:
     if args.preset and (args.truth or args.label_fraction is not None):
         raise ValidationError("--truth and --label-fraction need --input; "
                               "a preset brings its own truth and labels")
-    truth = None
-    if args.truth:
-        truth = read_truth_csv(args.truth)
-
+    if args.runs < 1 or args.workers < 1:
+        raise ValidationError("--runs and --workers must be at least 1")
     if args.kind == "weight":
         grid = [(k, args.alpha) for k in WEIGHT_GRID]
     else:
         grid = [(k, a) for a in WALL_ALPHA_GRID for k in WALL_K_GRID]
+    # validates every grid point and run before any input is read
+    csv_params = AdclustParams(k=grid[0][0], alpha=grid[0][1],
+                               wall_kind=args.wall, seed=args.seed,
+                               **overrides)
+    truth = read_truth_csv(args.truth) if args.truth else None
 
-    tasks = []
-    for run in range(args.runs):
-        for k, alpha in grid:
-            tasks.append({
-                "kind": args.kind, "k": k, "alpha": alpha,
-                "seed": args.seed + run, "run": run,
-                "preset": args.preset, "input": args.input,
-                "label_column": args.label_column,
-                "label_fraction": args.label_fraction,
-                "truth": truth, "wall_kind": args.wall,
-                "overrides": overrides,
-            })
+    def tasks():
+        # run-major over ascending grids: outcomes come in (run, alpha, k)
+        # order, which is the order of aggregate.csv
+        for run in range(args.runs):
+            seed = args.seed + run
+            if args.preset is not None:
+                dataset, run_truth, params = simulation_preset(
+                    args.preset, seed=seed, wall_kind=args.wall)
+                params = dataclasses.replace(params, **overrides)
+            else:
+                dataset, run_truth, _ = _load_csv(args, seed, truth)
+                params = dataclasses.replace(csv_params, seed=seed)
+            for k, alpha in grid:
+                yield (args.kind, run, dataset, run_truth,
+                       dataclasses.replace(params, k=k, alpha=alpha))
 
+    # fork starts every worker at the first submit: start no idle ones
+    workers = min(args.workers, args.runs * len(grid))
     start = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_sweep_run, tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_sweep_run, tasks()))
     else:
-        outcomes = [_sweep_run(t) for t in tasks]
+        outcomes = list(map(_sweep_run, tasks()))
     elapsed = time.perf_counter() - start
 
     out = _ensure_out(args.out)
-    rows = [o["row"] for o in outcomes]
-    order = sorted(range(len(rows)),
-                   key=lambda i: (rows[i]["run"], rows[i]["alpha"],
-                                  rows[i]["k"]))
     write_sweep_csv(os.path.join(out, "aggregate.csv"),
-                    [rows[i] for i in order], _SWEEP_COLUMNS)
-    for i in order:
-        dump_json(outcomes[i]["report"],
-                  os.path.join(out, outcomes[i]["name"]))
+                    [row for row, _, _ in outcomes], _SWEEP_COLUMNS)
+    for _, rep, name in outcomes:
+        dump_json(rep, os.path.join(out, name))
     write_timing(out, elapsed)
-    print(f"{len(tasks)} runs -> {os.path.join(out, 'aggregate.csv')}")
+    print(f"{len(outcomes)} runs -> {os.path.join(out, 'aggregate.csv')}")
     return 0
 
 

@@ -181,32 +181,29 @@ def match(n: int, normal_subs: list[SubCluster], abnormal_subs: list[SubCluster]
           conflicted: np.ndarray) -> ClusterComposition:
     """Assign sub-clusters to pass-3 clusters and tag every point.
 
-    A sub-cluster lands in the cluster holding the plurality of its
-    members (ties: larger cluster, then lower id); one with no member in
-    any cluster is dropped. Within a cluster that holds at least one
-    labeled sub-cluster, non-sub points are mixed overlap; a cluster
-    with no labeled sub-cluster at all is an unknown cluster and its
-    unlabeled-sub points are tagged so. Points outside every cluster are
-    outliers.
+    A sub-cluster is connected through rt edges among a subset of the
+    points, so it lies inside one pass-3 component: it lands in the
+    cluster that holds all its members, or is dropped when none does.
+    Within a cluster that holds at least one labeled sub-cluster,
+    non-sub points are mixed overlap; a cluster with no labeled
+    sub-cluster at all is an unknown cluster and its unlabeled-sub
+    points are tagged so. Points outside every cluster are outliers.
     """
     cluster_of_point = np.full(n, -1, dtype=np.int64)
     for cid, members in enumerate(clusters):
         cluster_of_point[members] = cid
-    sizes = np.array([len(c) for c in clusters], dtype=np.int64)
 
     subs = normal_subs + abnormal_subs + unlabeled_subs
     kept: list[SubCluster] = []
     kept_cluster: list[int] = []
     for sc in subs:
         hit = cluster_of_point[sc.members]
-        hit = hit[hit >= 0]
-        if hit.size == 0:
-            continue
-        counts = np.bincount(hit, minlength=len(clusters))
-        best = np.flatnonzero(counts == counts.max())
-        target = int(best[sizes[best] == sizes[best].max()].min())
-        kept.append(sc)
-        kept_cluster.append(target)
+        if np.any(hit != hit[0]):
+            raise ValidationError("sub-cluster members lie in more than "
+                                  "one pass-3 cluster or outside them")
+        if hit[0] >= 0:
+            kept.append(sc)
+            kept_cluster.append(int(hit[0]))
 
     labeled_cluster = np.zeros(len(clusters), dtype=bool)
     for sc, cid in zip(kept, kept_cluster):

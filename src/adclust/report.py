@@ -86,10 +86,10 @@ def build_cluster_report(dataset: Dataset, result: ClusteringResult,
         walls.append(entry)
     truth_col = (truth.tolist() if truth is not None
                  else [None] * dataset.n)
-    rows = [[int(comp.region[i]), int(comp.cluster_of_point[i]),
-             int(comp.sub_cluster_of[i]), int(dataset.labels[i]),
-             truth_col[i], bool(result.protected[i])]
-            for i in range(dataset.n)]
+    rows = [list(row) for row in zip(
+        comp.region.tolist(), comp.cluster_of_point.tolist(),
+        comp.sub_cluster_of.tolist(), dataset.labels.tolist(), truth_col,
+        result.protected.tolist())]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cluster",

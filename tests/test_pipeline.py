@@ -138,19 +138,15 @@ def test_match_hand_layout():
                                     "outlier": 1}
 
 
-def test_match_plurality_tie_prefers_larger_then_lower_id():
-    # equal hits, unequal sizes: the larger cluster wins
+def test_match_rejects_sub_across_clusters():
+    # a sub-cluster lies inside one pass-3 component, so one split across
+    # two clusters, or half outside every cluster, is an internal fault
     clusters = [np.array([0, 1], dtype=np.int64),
                 np.array([2, 3, 4], dtype=np.int64)]
-    comp = match(5, [sub([1, 2], "normal")], [], [], clusters,
-                 np.empty(0, dtype=np.int64))
-    assert comp.sub_to_cluster == [1]
-    # equal hits, equal sizes: the lower cluster id wins
-    clusters = [np.array([0, 1], dtype=np.int64),
-                np.array([2, 3], dtype=np.int64)]
-    comp = match(4, [sub([1, 2], "normal")], [], [], clusters,
-                 np.empty(0, dtype=np.int64))
-    assert comp.sub_to_cluster == [0]
+    for ids in ([1, 2], [4, 5], [5, 0]):
+        with pytest.raises(ValidationError, match="more than one"):
+            match(6, [sub(ids, "normal")], [], [], clusters,
+                  np.empty(0, dtype=np.int64))
 
 
 def test_match_drops_sub_outside_every_cluster():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from adclust import cli
 from adclust.cli import main
 from adclust.dataset import Dataset, ingest_csv, read_truth_csv, write_csv
 from adclust.synthetic import simulation_preset
@@ -362,6 +363,94 @@ def test_sweep_requires_exactly_one_source(tmp_path):
         assert main(["sweep", "--kind", "weight", "--preset", "sim1", *flag,
                      "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_pool_is_clamped_to_the_task_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    csv_path = blob_csv(tmp_path / "d.csv")
+    base = ["sweep", "--input", csv_path, "--label-fraction", "0.5"]
+    for kind, runs, workers, size in (("weight", 1, 64, 5),
+                                      ("weight", 2, 3, 3),
+                                      ("wall", 1, 20, 15)):
+        assert main([*base, "--kind", kind, "--runs", str(runs), "--workers",
+                     str(workers), "--out", str(tmp_path / kind)]) == 0
+        assert sizes.pop() == size
+    assert main([*base, "--kind", "weight", "--workers", "1",
+                 "--out", str(tmp_path / "serial")]) == 0
+    assert sizes == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--runs", "0"), ("--runs", "-2"), ("--workers", "0"),
+    ("--workers", "-1")])
+def test_sweep_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    assert main(["sweep", "--kind", "weight", "--preset", "sim1", flag, value,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 1" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
+    calls = {"ingest_csv": 0, "simulation_preset": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    csv_path = blob_csv(tmp_path / "d.csv")
+    for kind in ("weight", "wall"):
+        assert main(["sweep", "--kind", kind, "--input", csv_path,
+                     "--label-fraction", "0.5", "--runs", "2",
+                     "--out", str(tmp_path / kind)]) == 0
+    assert calls == {"ingest_csv": 4, "simulation_preset": 0}
+    assert main(["sweep", "--kind", "weight", "--preset", "sim1", "--runs",
+                 "2", "--out", str(tmp_path / "preset")]) == 0
+    assert calls == {"ingest_csv": 4, "simulation_preset": 2}
+    assert len(list((tmp_path / "preset").glob("report_*.json"))) == 10
+
+
+@pytest.mark.parametrize("command", ["cluster", "game", "sweep", "simulate"])
+def test_unwritable_out_exits_two(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    argv = {"cluster": ["cluster", "--input", blob_csv(tmp_path / "d.csv"),
+                        *CLUSTER_FLAGS],
+            "game": ["game", "--preset", "one_adv_log", "--orientation",
+                     "leader", "--samples", "300"],
+            "sweep": ["sweep", "--kind", "weight", "--input",
+                      blob_csv(tmp_path / "d.csv"), "--label-fraction", "0.5"],
+            "simulate": ["simulate", "--preset", "sim1"]}[command]
+    # simulate writes a file: an existing directory is what it cannot write
+    named = tmp_path if command == "simulate" else blocker
+    for out in (named, blocker / "sub"):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert blocker.read_text() == "a file, not a directory\n"
 
 
 def test_sweep_preset_applies_cluster_config(tmp_path):
