@@ -44,6 +44,9 @@ _PARAM_FIELDS = {
     "bandwidth": float, "log_base": float, "exact_density": bool,
     "min_wall_size": int, "eta_sample_size": int,
 }
+# [cluster] keys that cluster also takes as flags; a flag beats the config
+_CLUSTER_FLAGS = ("alpha", "k", "seed", "coef_rt", "coef_dt", "bandwidth",
+                  "target_fraction", "min_wall_size")
 _GAME_FIELDS = {
     "alpha_step": float, "t_step": float, "joint_t_step": float,
     "joint_budget": int, "eta_sample_size": int, "cost_c": float,
@@ -87,18 +90,6 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _params_from_args(args, overrides: dict) -> AdclustParams:
-    fields = dict(overrides)
-    for name in ("k", "alpha", "seed", "coef_rt", "coef_dt", "bandwidth",
-                 "target_fraction", "min_wall_size"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    if getattr(args, "wall", None) is not None:
-        fields["wall_kind"] = args.wall
-    return AdclustParams(**fields)
-
-
 def _load_csv(args, seed: int, truth):
     """Ingest --input; an explicit truth wins over the pre-blanking labels."""
     dataset, info = ingest_csv(args.input, label_column=args.label_column,
@@ -112,22 +103,28 @@ def _load_csv(args, seed: int, truth):
 
 
 def _cmd_cluster(args) -> int:
-    overrides = _read_config(args.config, "cluster", _PARAM_FIELDS)
-    params = _params_from_args(args, overrides)
+    fields = _read_config(args.config, "cluster", _PARAM_FIELDS)
+    for name in _CLUSTER_FLAGS:
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    if args.wall is not None:
+        fields["wall_kind"] = args.wall
+    params = AdclustParams(**fields)
     dataset, truth, info = _load_csv(
         args, params.seed, read_truth_csv(args.truth) if args.truth else None)
+    out = _ensure_out(args.out)
 
     start = time.perf_counter()
     result = adclust(dataset, params)
     elapsed = time.perf_counter() - start
 
-    out = _ensure_out(args.out)
     command = {"command": "cluster", "input": os.path.basename(args.input),
                "label_column": args.label_column,
                "label_fraction": args.label_fraction,
                "dropped_rows": list(info.dropped_rows),
                "retained_labels": info.retained_label_count}
-    rep = build_cluster_report(dataset, result, truth, command)
+    rep = build_cluster_report(dataset, result, truth, command,
+                               cluster_metrics(result, truth))
     dump_json(rep, os.path.join(out, "report.json"))
     write_timing(out, elapsed)
     if dataset.q == 2:
@@ -170,12 +167,12 @@ def _cmd_game(args) -> int:
     config = dataclasses.replace(
         game_preset(args.preset, wall_kind=args.wall, seed=args.seed,
                     sample_size=sample_size), **overrides)
+    out = _ensure_out(args.out)
 
     start = time.perf_counter()
     eq, tables = solve_game(config, args.orientation)
     elapsed = time.perf_counter() - start
 
-    out = _ensure_out(args.out)
     command = {"command": "game", "preset": args.preset,
                "orientation": args.orientation, "samples": sample_size}
     rep = build_game_report(eq, tables, command)
@@ -189,15 +186,18 @@ def _cmd_game(args) -> int:
     return 0
 
 
-def _sweep_run(task: tuple) -> tuple[dict, dict, str]:
-    """One grid point; top-level so process pools can pickle it."""
-    kind, run, dataset, truth, params = task
+def _sweep_run(task: tuple) -> dict:
+    """One grid point: cluster, write its report, return its aggregate
+    row. Top-level so process pools can pickle it."""
+    out, kind, run, dataset, truth, params = task
     result = adclust(dataset, params)
     metrics = cluster_metrics(result, truth)
     command = {"command": "sweep", "kind": kind, "k": params.k,
                "alpha": params.alpha, "run": run}
-    rep = build_cluster_report(dataset, result, truth, command)
-    row = {
+    dump_json(build_cluster_report(dataset, result, truth, command, metrics),
+              os.path.join(out, f"report_k{params.k:g}_a{params.alpha:g}"
+                                f"_r{run}.json"))
+    return {
         "k": params.k, "alpha": params.alpha, "seed": params.seed,
         "run": run,
         "mixed_count": metrics["region_counts"]["mixed_overlap"],
@@ -207,12 +207,6 @@ def _sweep_run(task: tuple) -> tuple[dict, dict, str]:
         "wall_purity": metrics["wall_purity"],
         "wall_count": metrics["wall_count"],
     }
-    return row, rep, f"report_k{params.k:g}_a{params.alpha:g}_r{run}.json"
-
-
-_SWEEP_COLUMNS = ["k", "alpha", "seed", "run", "mixed_count", "outlier_count",
-                  "mixed_plus_outliers", "abnormal_fraction_mixed",
-                  "wall_purity", "wall_count"]
 
 
 def _cmd_sweep(args) -> int:
@@ -236,9 +230,10 @@ def _cmd_sweep(args) -> int:
                                wall_kind=args.wall, seed=args.seed,
                                **overrides)
     truth = read_truth_csv(args.truth) if args.truth else None
+    out = _ensure_out(args.out)
 
     def tasks():
-        # run-major over ascending grids: outcomes come in (run, alpha, k)
+        # run-major over ascending grids: rows come in (run, alpha, k)
         # order, which is the order of aggregate.csv
         for run in range(args.runs):
             seed = args.seed + run
@@ -250,7 +245,7 @@ def _cmd_sweep(args) -> int:
                 dataset, run_truth, _ = _load_csv(args, seed, truth)
                 params = dataclasses.replace(csv_params, seed=seed)
             for k, alpha in grid:
-                yield (args.kind, run, dataset, run_truth,
+                yield (out, args.kind, run, dataset, run_truth,
                        dataclasses.replace(params, k=k, alpha=alpha))
 
     # fork starts every worker at the first submit: start no idle ones
@@ -258,18 +253,14 @@ def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_run, tasks()))
+            rows = list(pool.map(_sweep_run, tasks()))
     else:
-        outcomes = list(map(_sweep_run, tasks()))
+        rows = list(map(_sweep_run, tasks()))
     elapsed = time.perf_counter() - start
 
-    out = _ensure_out(args.out)
-    write_sweep_csv(os.path.join(out, "aggregate.csv"),
-                    [row for row, _, _ in outcomes], _SWEEP_COLUMNS)
-    for _, rep, name in outcomes:
-        dump_json(rep, os.path.join(out, name))
+    write_sweep_csv(os.path.join(out, "aggregate.csv"), rows)
     write_timing(out, elapsed)
-    print(f"{len(outcomes)} runs -> {os.path.join(out, 'aggregate.csv')}")
+    print(f"{len(rows)} runs -> {os.path.join(out, 'aggregate.csv')}")
     return 0
 
 
@@ -317,17 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep labels on this fraction of labeled rows")
     p.add_argument("--truth", default=None,
                    help="CSV with ground-truth labels for metrics")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
+    for name in _CLUSTER_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=_PARAM_FIELDS[name], default=None)
     p.add_argument("--wall", choices=("euclidean", "manhattan"), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--coef-rt", dest="coef_rt", type=float, default=None)
-    p.add_argument("--coef-dt", dest="coef_dt", type=float, default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--target-fraction", dest="target_fraction", type=float,
-                   default=None)
-    p.add_argument("--min-wall-size", dest="min_wall_size", type=int,
-                   default=None)
     p.add_argument("--config", default=None, help="INI file, [cluster] section")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_cluster)

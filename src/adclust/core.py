@@ -66,10 +66,12 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
         raise ValidationError("stat must align with point_ids")
     if point_ids.size == 0:
         return [], point_ids
-    if np.unique(point_ids).size != point_ids.size:
+    order = np.argsort(point_ids)
+    ids = point_ids[order]
+    if (ids[1:] == ids[:-1]).any():
         raise ValidationError("point_ids must be unique")
     n = points.shape[0]
-    if point_ids.min() < 0 or point_ids.max() >= n:
+    if ids[0] < 0 or ids[-1] >= n:
         raise ValidationError("point_ids must lie in [0, N)")
     i, j = rt_pairs(points, rt) if pairs is None else pairs
     inside = np.zeros(n, dtype=bool)
@@ -77,8 +79,6 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
     both = inside[i] & inside[j]
     graph = sparse.coo_matrix((np.ones(both.sum()), (i[both], j[both])), shape=(n, n))
     n_comp, comp = connected_components(graph, directed=False)
-    order = np.argsort(point_ids)
-    ids = point_ids[order]
     comp = comp[ids]
     seeded = np.zeros(n_comp, dtype=bool)
     seeded[comp[stat[order] >= dt]] = True

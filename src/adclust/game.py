@@ -219,7 +219,8 @@ def build_tables(config: GameConfig) -> GameTables:
                 radius=float(radii[0]))
 
     s_normal = wall.score(normal_sample)
-    normal_error = np.array([float((s_normal > r).mean()) for r in radii])
+    passed = np.searchsorted(np.sort(s_normal), radii, side="right")
+    normal_error = (s_normal.size - passed) / s_normal.size
 
     attacker: list[np.ndarray] = []
     adv_error: list[np.ndarray] = []

@@ -64,8 +64,9 @@ def cluster_metrics(result: ClusteringResult,
 
 
 def build_cluster_report(dataset: Dataset, result: ClusteringResult,
-                         truth: np.ndarray | None,
-                         command: dict) -> dict:
+                         truth: np.ndarray | None, command: dict,
+                         metrics: dict) -> dict:
+    """metrics is cluster_metrics(result, truth), computed by the caller."""
     comp = result.composition
     p = result.params
     walls = []
@@ -114,7 +115,7 @@ def build_cluster_report(dataset: Dataset, result: ClusteringResult,
                          for i, sc in enumerate(comp.sub_clusters)],
         "conflicted_count": int(comp.conflicted.size),
         "walls": walls,
-        "metrics": cluster_metrics(result, truth),
+        "metrics": metrics,
         "region_names": list(REGION_NAMES),
         "points": {
             "columns": ["region", "cluster", "sub_cluster", "label",
@@ -246,7 +247,9 @@ def write_landscape_csv(path: str, tables: GameTables) -> None:
                              f"{tables.normal_error[ih]!r}\n")
 
 
-def write_sweep_csv(path: str, rows: list[dict], columns: list[str]) -> None:
+def write_sweep_csv(path: str, rows: list[dict]) -> None:
+    """Header from the first row's keys; rows is nonempty."""
+    columns = list(rows[0])
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:

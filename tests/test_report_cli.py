@@ -1,6 +1,7 @@
 """Command-line surface: reports, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -80,22 +81,35 @@ def test_cluster_higher_dimensional_input_skips_svg(tmp_path, capsys):
     assert "metrics-only" in capsys.readouterr().out
 
 
-def test_cluster_config_file_and_flag_precedence(tmp_path):
+# config value, flag value; wall_kind comes from --wall
+PRECEDENCE = {"alpha": (0.8, 0.7), "k": (10.0, 30.0), "seed": (1, 2),
+              "coef_rt": (0.9, 1.1), "coef_dt": (0.9, 1.2),
+              "bandwidth": (0.5, 0.6), "target_fraction": (0.1, 0.2),
+              "min_wall_size": (10, 12),
+              "wall_kind": ("manhattan", "euclidean")}
+
+
+@pytest.mark.parametrize("name", [*cli._CLUSTER_FLAGS, "wall_kind"])
+def test_cluster_config_file_and_flag_precedence(tmp_path, name):
     csv_path = blob_csv(tmp_path / "d.csv")
     config = tmp_path / "run.ini"
-    config.write_text("[cluster]\nalpha = 0.8\ncoef_rt = 0.9\n"
-                      "bandwidth = 0.5\nmin_wall_size = 10\nk = 10\n")
+    keys = {"coef_rt": 0.9, "bandwidth": 0.5, "min_wall_size": 10, "k": 10,
+            name: PRECEDENCE[name][0]}
+    config.write_text("[cluster]\n" + "".join(f"{key} = {value}\n"
+                                              for key, value in keys.items()))
     out1 = tmp_path / "from_config"
     assert main(["cluster", "--input", csv_path, "--out", str(out1),
                  "--config", str(config)]) == 0
     report = json.loads((out1 / "report.json").read_text())
-    assert report["params"]["alpha"] == 0.8
+    assert report["params"][name] == PRECEDENCE[name][0]
     # a command-line flag beats the same key in the config
+    flag = "--wall" if name == "wall_kind" else "--" + name.replace("_", "-")
     out2 = tmp_path / "flag_wins"
     assert main(["cluster", "--input", csv_path, "--out", str(out2),
-                 "--config", str(config), "--alpha", "0.7"]) == 0
+                 "--config", str(config), flag,
+                 str(PRECEDENCE[name][1])]) == 0
     report = json.loads((out2 / "report.json").read_text())
-    assert report["params"]["alpha"] == 0.7
+    assert report["params"][name] == PRECEDENCE[name][1]
 
 
 def test_cluster_with_truth_fills_metrics(tmp_path):
@@ -433,8 +447,47 @@ def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
     assert len(list((tmp_path / "preset").glob("report_*.json"))) == 10
 
 
+def test_one_metrics_pass_per_report(tmp_path, monkeypatch):
+    calls = []
+    real = cli.cluster_metrics
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "cluster_metrics", counted)
+    monkeypatch.setattr("adclust.report.cluster_metrics", counted)
+    csv_path = blob_csv(tmp_path / "d.csv")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "weight", "--input", csv_path,
+                 "--label-fraction", "0.5", "--out", str(out)]) == 0
+    assert len(calls) == 5
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    for row in rows:
+        name = f"report_k{float(row['k']):g}_a{float(row['alpha']):g}_r0.json"
+        metrics = json.loads((out / name).read_text())["metrics"]
+        counts = metrics["region_counts"]
+        assert int(row["mixed_count"]) == counts["mixed_overlap"]
+        assert int(row["outlier_count"]) == counts["outlier"]
+        for key in ("mixed_plus_outliers", "wall_count"):
+            assert int(row[key]) == metrics[key]
+        for key in ("abnormal_fraction_mixed", "wall_purity"):
+            want = metrics[key]
+            assert row[key] == ("" if want is None else repr(want))
+    calls.clear()
+    assert run_cluster(csv_path, tmp_path / "cluster") == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["cluster", "game", "sweep", "simulate"])
-def test_unwritable_out_exits_two(tmp_path, capsys, command):
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "adclust", no_work)
+    monkeypatch.setattr(cli, "solve_game", no_work)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
     argv = {"cluster": ["cluster", "--input", blob_csv(tmp_path / "d.csv"),
