@@ -264,6 +264,8 @@ class AdclustParams:
             raise ValidationError("target_fraction must be in (0, 1]")
         if self.bandwidth is not None and not 0.0 < self.bandwidth < math.inf:
             raise ValidationError("bandwidth must be positive and finite")
+        if not 1.0 < self.log_base < math.inf:
+            raise ValidationError("log_base must exceed 1 and be finite")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.min_wall_size < 2:

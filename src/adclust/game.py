@@ -139,8 +139,11 @@ class GameConfig:
             raise ValidationError("cost_c must be nonnegative and finite")
         if self.wall_kind not in ("euclidean", "manhattan"):
             raise ValidationError(f"unknown wall kind {self.wall_kind!r}")
-        for step in (self.alpha_step, self.t_step, self.joint_t_step):
+        for step in (self.t_step, self.joint_t_step):
             _grid_count(step)
+        if _grid_count(self.alpha_step) < 2:
+            raise ValidationError("alpha_step must leave at least one wall "
+                                  "level in (0, 1)")
         if self.eta_sample_size < 2:
             raise ValidationError("eta_sample_size must be at least 2")
         if self.seed < 0:

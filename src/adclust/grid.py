@@ -13,10 +13,12 @@ bound, and a row keeps the result only where that bound certifies it,
 falling back to fsum otherwise; short lists of means are summed by
 math.fsum; the integer n(p) of a cell by an exact integer sum.
 
-build_grid sorts the points by cell key once (a stable np.lexsort):
-Grid.cells lists the occupied keys in sorted order, ids ascending, and
-every per-cell result (neighborhoods, the d(c) and n(c) arrays) follows
-it. A cell's 3^q neighborhood is the set of occupied cells within
+build_grid sorts the points by cell key once (a stable np.lexsort) and
+numbers the occupied cells in sorted key order: Grid.keys holds one key
+row per cell, Grid.order the point ids sorted by key (ids ascending
+within a cell) and Grid.starts each cell's offset into order. Every
+per-cell result (neighborhoods, the d(c) and n(c) arrays) follows that
+numbering. A cell's 3^q neighborhood is the set of occupied cells within
 Chebyshev distance 1 of it, itself included. Only occupied cells are
 visited, so the cost scales with occupied-cell pairs, not with 3^q.
 
@@ -35,14 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
 
-CellKey = tuple[int, ...]
 # Index arrays (i, j) of the closed rt graph, as rt_pairs returns them.
 Pairs = tuple[np.ndarray, np.ndarray]
 
@@ -58,18 +59,35 @@ _SPLIT_ELEMENTS = 1024
 
 @dataclass
 class Grid:
-    """Section assignment of a point set.
+    """Section assignment of a point set, its C occupied cells numbered
+    in sorted key order.
 
     sections: m, the section count per dimension (same for every
     dimension). Dimensions with zero width collapse to section 0; they
-    never restrict a neighborhood. cell_of_point holds each point's key;
-    cells maps every occupied key to its point ids, keys in sorted order
-    and ids ascending, the one cell order every per-cell array follows.
+    never restrict a neighborhood. cell_of_point, (N, q) int64, holds
+    each point's key; keys, (C, q) int64, one row per occupied cell,
+    strictly increasing in lexicographic order, the one cell order every
+    per-cell array follows. Cell c holds the ids order[starts[c]:
+    starts[c + 1]], ascending; starts has C + 1 entries, from 0 to N.
     """
 
     sections: int
     cell_of_point: np.ndarray
-    cells: dict[CellKey, np.ndarray]
+    keys: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Occupied key -> point ids, in cell order: a view for callers
+        that look cells up by key, built on first read."""
+        return dict(zip(map(tuple, self.keys.tolist()), _members(self)))
+
+
+def _members(grid: Grid) -> list[np.ndarray]:
+    """Each cell's point ids, in cell order (views into grid.order)."""
+    bounds = grid.starts.tolist()
+    return [grid.order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -174,6 +192,13 @@ def _check_extent(points: np.ndarray) -> None:
                               "distances underflow")
 
 
+def _check_points(grid: Grid, points: np.ndarray) -> None:
+    if points.shape != (grid.order.size, grid.keys.shape[1]):
+        raise ValidationError(f"points of shape {points.shape} do not match "
+                              f"the grid's {grid.order.size} points in "
+                              f"{grid.keys.shape[1]} dimensions")
+
+
 def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     """Assign points to uniform grid cells.
 
@@ -199,28 +224,27 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     idx[:, degenerate] = 0
     order = np.lexsort(idx.T[::-1])  # stable: ids ascend within a key
     ranked = idx[order]
-    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-    keys = map(tuple, ranked[starts].tolist())
-    spans = pairwise(starts.tolist() + [n])
-    cells = {key: order[a:b] for key, (a, b) in zip(keys, spans)}
-    return Grid(sections=m, cell_of_point=idx, cells=cells)
+    new_key = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.r_[True, new_key, True])
+    return Grid(sections=m, cell_of_point=idx, keys=ranked[starts[:-1]],
+                order=order, starts=starts)
 
 
 def _neighborhoods(grid: Grid) -> list[np.ndarray]:
-    """Per cell of grid.cells, in its order, the ids of the points in the
-    occupied cells within Chebyshev distance 1 of it, its own included.
+    """Per cell, in cell order, the ids of the points in the occupied
+    cells within Chebyshev distance 1 of it, its own included.
 
     Only occupied cells are visited: a KD-tree over the integer keys
     finds every cell pair at Chebyshev distance <= 1, which is exact on
-    integers. Each neighborhood lists its cells in grid.cells order.
+    integers. Each neighborhood lists its cells in cell order.
     """
-    tree = cKDTree(np.array(list(grid.cells), dtype=np.float64))
+    tree = cKDTree(grid.keys)
     i, j = tree.query_pairs(1.0, p=np.inf, output_type="ndarray").T
     own = np.arange(tree.n)
     rows, cols = np.r_[own, i, j], np.r_[own, j, i]
     cols = cols[np.lexsort((cols, rows))]
     near = np.split(cols, np.cumsum(np.bincount(rows))[:-1])
-    members = list(grid.cells.values())
+    members = _members(grid)
     return [np.concatenate([members[c] for c in nb.tolist()]) for nb in near]
 
 
@@ -230,13 +254,14 @@ def compute_rt(grid: Grid, points: np.ndarray,
 
     a(p) averages distances from p to its neighborhood, excluding p
     (its own distance is +0.0 and changes no correctly rounded sum);
-    d(c), one value per cell in grid.cells order, averages a(p) over the
+    d(c), one value per cell in cell order, averages a(p) over the
     cell's points, NaN where no point has an a(p); the outer mean skips
     those cells. All points isolated in their neighborhoods is an error,
     raised before any distance work.
     """
     if not 0.0 < coef_rt < math.inf:
         raise ValidationError("coef_rt must be positive and finite")
+    _check_points(grid, points)
     n, q = points.shape
     hoods = _neighborhoods(grid)
     if all(nb.size == 1 for nb in hoods):
@@ -244,7 +269,7 @@ def compute_rt(grid: Grid, points: np.ndarray,
     cols = np.ascontiguousarray(points.T)
     a_p = np.full(n, np.nan)
     d_c = np.full(len(hoods), np.nan)
-    for c, (members, nb) in enumerate(zip(grid.cells.values(), hoods)):
+    for c, (members, nb) in enumerate(zip(_members(grid), hoods)):
         if nb.size == 1:
             continue
         for lo, sq in _sq_distance_blocks(cols[:, members], cols[:, nb]):
@@ -285,6 +310,7 @@ def compute_density(grid: Grid, points: np.ndarray, rt: float,
     undercounts when rt exceeds the cell side; exact=True counts every
     partner instead (validation fallback).
     """
+    _check_points(grid, points)
     i, j = rt_pairs(points, rt) if pairs is None else pairs
     if not exact:
         cells = grid.cell_of_point
@@ -298,7 +324,7 @@ def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,
                log_base: float = math.e) -> tuple[float, np.ndarray]:
     """Density threshold dt = mean(n(c)) / log(N) * coef_dt.
 
-    n(c), one value per cell in grid.cells order, is the mean n(p) over
+    n(c), one value per cell in cell order, is the mean n(p) over
     the cell's points; the outer mean runs over occupied cells. n(p) are
     integers, so each cell's sum is exact and n(c) correctly rounded.
     log is natural by default; log_base switches it (the pseudocode
@@ -308,13 +334,13 @@ def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,
         raise ValidationError("coef_dt must be positive and finite")
     if not 1.0 < log_base < math.inf:
         raise ValidationError("log_base must exceed 1 and be finite")
-    n = int(n_p.shape[0])
+    n = grid.order.size
+    if n_p.shape != (n,):
+        raise ValidationError("n_p must hold one value per grid point")
     if n < 2:
         raise DegenerateGeometryError("dataset too small for density threshold")
-    members = list(grid.cells.values())
-    sizes = np.array([m.size for m in members])
-    starts = np.cumsum(sizes) - sizes
-    n_c = np.add.reduceat(n_p[np.concatenate(members)], starts) / sizes
+    starts = grid.starts
+    n_c = np.add.reduceat(n_p[grid.order], starts[:-1]) / np.diff(starts)
     log_n = math.log(n) / math.log(log_base)
     dt = _fmean(n_c.tolist()) / log_n * coef_dt
     return dt, n_c

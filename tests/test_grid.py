@@ -231,6 +231,21 @@ def test_cells_iterate_in_sorted_key_order(q, degenerate):
     for key, ids in grid.cells.items():
         assert ids.dtype == np.int64
         assert ids.tolist() == groups[key]
+    # the arrays behind the view: keys strictly increasing, order a
+    # permutation, starts spanning [0, N] with no empty cell
+    n = len(pts)
+    rows = list(map(tuple, grid.keys.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert sorted(grid.order.tolist()) == list(range(n))
+    assert grid.starts[0] == 0 and grid.starts[-1] == n
+    assert (np.diff(grid.starts) > 0).all()
+    view = list(grid.cells.items())
+    assert len(view) == len(grid.keys) == len(grid.starts) - 1
+    for c, (key, ids) in enumerate(view):
+        members = grid.order[grid.starts[c]:grid.starts[c + 1]]
+        assert (grid.cell_of_point[members] == grid.keys[c]).all()
+        assert key == rows[c]
+        np.testing.assert_array_equal(ids, members)
 
 
 def test_all_points_isolated_raises():
@@ -290,7 +305,22 @@ def test_validation_errors():
         with pytest.raises(ValidationError):
             compute_dt(grid, np.array([1, 1]), log_base=base)
     with pytest.raises(DegenerateGeometryError):
-        compute_dt(grid, np.array([1]))
+        compute_dt(build_grid(np.array([[0.0]])), np.array([1]))
+
+
+def test_stage_inputs_must_match_their_grid():
+    pts = np.random.default_rng(3).normal(size=(200, 2))
+    grid = build_grid(pts)
+    rt, _, _ = compute_rt(grid, pts)
+    n_p = compute_density(grid, pts, rt)
+    for bad in (pts[:100], np.hstack([pts, pts[:, :1]]), pts.ravel()):
+        with pytest.raises(ValidationError, match="do not match"):
+            compute_rt(grid, bad)
+        with pytest.raises(ValidationError, match="do not match"):
+            compute_density(grid, bad, rt)
+    for bad in (np.r_[n_p, n_p], n_p[:100], n_p[:, None]):
+        with pytest.raises(ValidationError, match="one value per grid point"):
+            compute_dt(grid, bad)
 
 
 def test_coincident_points_give_zero_rt():

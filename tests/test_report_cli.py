@@ -320,7 +320,9 @@ def test_game_cli_config_section(tmp_path):
     assert report["config"]["cost_c"] == 5.0
 
 
-@pytest.mark.parametrize("line", ["cost_c = -5", "alpha_step = 0"])
+# alpha_step = 1.0 divides [0, 1] but leaves no wall level inside it
+@pytest.mark.parametrize("line", ["cost_c = -5", "alpha_step = 0",
+                                  "alpha_step = 1.0"])
 def test_game_cli_validates_config_values(tmp_path, capsys, line):
     config = tmp_path / "g.ini"
     config.write_text(f"[game]\nsample_size = 50\n{line}\n")
@@ -328,7 +330,21 @@ def test_game_cli_validates_config_values(tmp_path, capsys, line):
                  "leader", "--config", str(config),
                  "--out", str(tmp_path / "g")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "g" / "report.json").exists()
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+@pytest.mark.parametrize("value", ["1.0", "nan"])
+def test_bad_log_base_exits_two_before_any_work(tmp_path, capsys, command,
+                                                value):
+    config = tmp_path / "c.ini"
+    config.write_text(f"[cluster]\nlog_base = {value}\n")
+    source = {"cluster": ["--input", blob_csv(tmp_path / "d.csv")],
+              "sweep": ["--kind", "weight", "--preset", "sim1"]}[command]
+    assert main([command, *source, "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "log_base" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_matches_across_worker_counts(tmp_path):
