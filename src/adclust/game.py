@@ -21,15 +21,24 @@ never falls as the radius grows, so it splits each t row into decided
 and mixed cells: a radius that passes nothing pays 0.0 (payoffs are
 never negative, so that is the masked mean exactly), one that passes
 everything pays the plain mean of the payoffs, and only the radii in
-between take the masked mean. Every payoff entry is one row of a mean
-along the sample axis, which numpy sums exactly as the 1-d mean of
-direct evaluation does, so direct evaluation and table lookup agree
-bitwise, and results do not depend on BLAS threading.
+between take the masked mean. That mean is of the pass mask times the
+payoffs, bitwise np.where(mask, pay, 0.0) because payoffs are finite,
+>= 0 and never -0.0. Every payoff entry is one row of a mean along the
+sample axis, which numpy sums exactly as the 1-d mean of direct
+evaluation does, so direct evaluation and table lookup agree bitwise,
+and results do not depend on BLAS threading. Each adversary sample is
+held dimension-major (Fortran order), so the attack, its cost and the
+wall score all step along the sample; wall scores do not depend on
+layout, so the direct evaluation of a row-major draw gives the same
+bits.
 
 The follower search streams the joint profiles in chunks and takes the
 defender's best responses for a whole chunk at once, through the same
 elementwise operations as for one profile: every entry is bitwise the
 one-profile value, and memory is bounded by the chunk, not the lattice.
+Only the profiles whose float attacker sum, widened by its rounding
+bound, can reach the best correctly rounded sum (math.fsum) so far build
+the exact tie-break key.
 """
 from __future__ import annotations
 
@@ -95,6 +104,28 @@ class PopulationSpec:
             raise ValidationError("sample_size must be at least 2")
 
 
+def _population_dim(spec: PopulationSpec) -> int:
+    """q of a population whose mean is a finite q-vector and whose cov a
+    finite (q, q) matrix that np.linalg.cholesky accepts."""
+    try:
+        mean = np.asarray(spec.mean, dtype=np.float64)
+        cov = np.asarray(spec.cov, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("population mean and cov must be numeric") \
+            from None
+    if mean.ndim != 1 or mean.size == 0 or not np.isfinite(mean).all():
+        raise ValidationError("population mean must be a finite vector")
+    if cov.shape != (mean.size, mean.size) or not np.isfinite(cov).all():
+        raise ValidationError("population cov must be a finite q x q matrix "
+                              "for a mean of length q")
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValidationError("population cov must be positive definite") \
+            from None
+    return mean.size
+
+
 def apply_attack(points: np.ndarray, mu_g: np.ndarray, t: float) -> np.ndarray:
     """Contract objects toward mu_g by strength t in [0, 1]."""
     if not 0.0 <= t <= 1.0:
@@ -135,6 +166,11 @@ class GameConfig:
             raise ValidationError("need at least one adversary")
         if len(self.utilities) != len(self.adversaries):
             raise ValidationError("one utility spec per adversary")
+        dims = {_population_dim(spec)
+                for spec in [self.normal, *self.adversaries]}
+        if len(dims) > 1:
+            raise ValidationError("every population must have the "
+                                  "dimension of the normal one")
         if not 0.0 <= self.cost_c < math.inf:
             raise ValidationError("cost_c must be nonnegative and finite")
         if self.wall_kind not in ("euclidean", "manhattan"):
@@ -228,8 +264,10 @@ def build_tables(config: GameConfig) -> GameTables:
     attacker: list[np.ndarray] = []
     adv_error: list[np.ndarray] = []
     for spec, util in zip(config.adversaries, config.utilities):
-        sample = sample_gaussian(spec.mean, spec.cov, spec.sample_size,
-                                 spec.seed)
+        # dimension-major, so the attack, its cost and the score step along
+        # the sample with no transposing copy
+        sample = np.asfortranarray(sample_gaussian(spec.mean, spec.cov,
+                                                   spec.sample_size, spec.seed))
         a_tab = np.empty((n_t, len(alphas)))
         e_tab = np.empty((n_t, len(alphas)))
         for it, t in enumerate(ts):
@@ -245,10 +283,12 @@ def build_tables(config: GameConfig) -> GameTables:
             hi = np.searchsorted(passed, s.size)
             a_tab[it, :lo] = 0.0
             a_tab[it, hi:] = pay[None, :].mean(axis=1)
+            # pay is finite, >= 0 and never -0.0, so inside * pay is bitwise
+            # np.where(inside, pay, 0.0)
             for start in range(lo, hi, _ALPHA_CHUNK):
                 stop = min(start + _ALPHA_CHUNK, hi)
                 inside = s <= radii[start:stop, None]
-                a_tab[it, start:stop] = np.where(inside, pay, 0.0).mean(axis=1)
+                a_tab[it, start:stop] = (inside * pay).mean(axis=1)
         attacker.append(a_tab)
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,
@@ -308,6 +348,7 @@ def solve_follower(tables: GameTables) -> Equilibrium:
         raise GridBudgetError("grid budget exceeded; increase step")
 
     best = None
+    shrink = 1.0 - 2 * m * np.finfo(np.float64).epsneg
     profiles = product(t_indices, repeat=m)
     while chunk := list(islice(profiles, _PROFILE_CHUNK)):
         combos = np.array(chunk)
@@ -319,12 +360,24 @@ def solve_follower(tables: GameTables) -> Equilibrium:
         best_ih = d_rows.argmax(axis=1)
         pays = np.stack([tab[combos[:, i], best_ih] for i, tab
                          in enumerate(tables.attacker)], axis=1)
-        for combo, ih, pay, d_row in zip(chunk, best_ih.tolist(),
-                                         pays.tolist(), d_rows):
-            key = (math.fsum(pay), -math.fsum(tables.ts[j] for j in combo),
+        # payoffs are >= 0, so a float row sum in any order is within a
+        # factor (1 +- u)^(m - 1) of the exact sum and fsum within 1 +- u;
+        # shrink = 1 - 2mu covers both and the roundings of the products
+        # below. floor never exceeds the largest fsum of the rows seen so
+        # far, and a row whose float sum is below floor * shrink has an
+        # fsum below floor: it cannot win, so only the other rows build
+        # the exact key
+        approx = pays.sum(axis=1)
+        floor = approx.max() * shrink
+        if best is not None:
+            floor = max(floor, best[0][0])
+        for r in np.flatnonzero(approx >= floor * shrink).tolist():
+            combo, ih = chunk[r], int(best_ih[r])
+            key = (math.fsum(pays[r].tolist()),
+                   -math.fsum(tables.ts[j] for j in combo),
                    -ih, tuple(-j for j in combo))
             if best is None or key > best[0]:
-                best = (key, combo, ih, d_row[ih])
+                best = (key, combo, ih, d_rows[r, ih])
     _, combo, ih, d_val = best
     return _equilibrium(tables, "follower", ih, combo, d_val)
 

@@ -8,6 +8,13 @@ Monte Carlo so a Gaussian fitted to the region puts probability alpha
 inside the diamond. Containment is closed (boundary points count as
 inside).
 
+Both scores work on dimension-major (q, n) deviations, taken once per
+call as one C-ordered subtraction, and sum their q per-dimension terms
+in dimension order (_dimension_sum, the convention of grid._sq_distances):
+Mahalanobis sum_i d_i * (Sigma^-1 d)_i with Sigma^-1 d from the Cholesky
+factor, scaled L1 sum_i |d_i| / std_i. Every step runs along the n
+points, and a score does not depend on the memory layout of its input.
+
 sample_gaussian, default_rng(seed) normals times the Cholesky factor
 plus the mean, is the package's only Gaussian sampler: it draws the
 Manhattan calibration, the game's populations and synthetic mixtures.
@@ -79,10 +86,27 @@ def stats_from_moments(mean, covariance, member_count: int = 0) -> RegionStats:
                        member_count=member_count, ridged=ridged)
 
 
+def _deviations(mean: np.ndarray, points) -> np.ndarray:
+    """(q, n) C-ordered x - mean over the rows x of points."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return np.subtract(points.T, mean[:, None], order="C")
+
+
+def _dimension_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in dimension order: zeros, then += each
+    row."""
+    total = np.zeros(terms.shape[1:])
+    for row in terms:
+        total += row
+    return total
+
+
 def scaled_l1_score(stats: RegionStats, points: np.ndarray) -> np.ndarray:
     """Per-row sum_i |x_i - mean_i| / std_i, the Manhattan wall's score."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return (np.abs(points - stats.mean) / stats.stddevs).sum(axis=1)
+    terms = _deviations(stats.mean, points)
+    np.abs(terms, out=terms)
+    terms /= stats.stddevs[:, None]
+    return _dimension_sum(terms)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:
@@ -120,10 +144,9 @@ class Wall:
             self._cho = cho_factor(self.stats.covariance, lower=True)
 
     def mahalanobis_sq(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        diffs = (points - self.stats.mean).T
-        solved = cho_solve(self._cho, diffs)
-        return np.einsum("ij,ij->j", diffs, solved, optimize=False)
+        diffs = _deviations(self.stats.mean, points)
+        diffs *= cho_solve(self._cho, diffs)
+        return _dimension_sum(diffs)
 
     def scaled_l1(self, points: np.ndarray) -> np.ndarray:
         return scaled_l1_score(self.stats, points)

@@ -177,6 +177,50 @@ def test_every_three_adversary_cell_matches_direct_evaluation_bitwise(
     assert_tables_match_direct_evaluation(config, tables)
 
 
+def config_in(q, sample_size=150, **kw):
+    """One adversary against a normal population in q dimensions, both
+    with AR(1) covariances."""
+    cov = tuple(map(tuple, 0.5 ** np.abs(np.subtract.outer(np.arange(q),
+                                                           np.arange(q)))))
+    normal = PopulationSpec(mean=(0.0,) * q, cov=cov, sample_size=sample_size,
+                            seed=[q, 0])
+    adversary = PopulationSpec(mean=(2.5,) * q, cov=cov,
+                               sample_size=sample_size, seed=[q, 1])
+    return GameConfig(normal=normal, adversaries=[adversary],
+                      utilities=[UtilitySpec("linear", a=1.0)], cost_c=20.0,
+                      alpha_step=0.05, t_step=0.1, **kw)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("q", [3, 8])
+def test_higher_dimensional_cells_match_direct_evaluation_bitwise(q,
+                                                                  wall_kind):
+    # build_tables scores a dimension-major sample, the direct evaluation
+    # a row-major one
+    config = config_in(q, wall_kind=wall_kind)
+    tables = build_tables(config)
+    err = tables.adv_error[0]
+    assert ((err > 0.0) & (err < 1.0)).any()
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_clamped_payoff_cells_match_direct_evaluation_bitwise(wall_kind):
+    # exp(0.75 cost) passes k_max = 7 beyond a cost of about 2.6, so the
+    # masked means take zero payoffs both inside and outside the wall
+    config = small_config(family="exp", a=0.75, sample_size=300,
+                          wall_kind=wall_kind, alpha_step=0.05, t_step=0.05)
+    tables = build_tables(config)
+    sample = draw(config.adversaries[0])
+    clamped = [(config.utilities[0].payoff(movement_cost(
+        sample, apply_attack(sample, tables.mu_g, t))) == 0.0).mean()
+               for t in tables.ts.tolist()]
+    err = tables.adv_error[0]
+    partial = ((err > 0.0) & (err < 1.0)).any(axis=1)
+    assert any(0.0 < c < 1.0 and p for c, p in zip(clamped, partial))
+    assert_tables_match_direct_evaluation(config, tables)
+
+
 def test_pass_rate_never_decreases_with_contraction():
     # moving toward the wall center can only bring objects inside
     config = small_config(sample_size=500)
@@ -314,6 +358,52 @@ def test_three_adversary_follower_matches_brute_force(frozen):
     assert solve_follower(tables) == expected
 
 
+def test_follower_breaks_float_ties_by_exact_sums():
+    # with every pass rate zero the defender answers every profile with
+    # the same alpha; the planted payoffs make the float sums of (0, 0, 0)
+    # and (0, 5, 5) both 1.0, while (0, 5, 5) sums exactly to 1 + 2^-52
+    tables = build_tables(game_preset("three_adv_log", sample_size=50))
+    attacker = [np.zeros_like(tab) for tab in tables.attacker]
+    attacker[0][[0, 5]] = 1.0
+    attacker[1][5] = attacker[2][5] = 2.0 ** -53
+    tables = dataclasses.replace(
+        tables, attacker=attacker,
+        adv_error=[np.zeros_like(tab) for tab in tables.adv_error])
+    ih = int(tables.normal_error.argmin())
+    pays = np.array([[tab[j, ih] for tab, j in zip(attacker, combo)]
+                     for combo in ((0, 0, 0), (0, 5, 5))])
+    assert pays.sum(axis=1).tolist() == [1.0, 1.0]
+    assert math.fsum(pays[1]) == 1.0 + 2.0 ** -52
+    expected, _ = brute_force_follower(tables)
+    assert expected.t_indices == (0, 5, 5)
+    assert solve_follower(tables) == expected
+
+
+def test_follower_keeps_rows_whose_float_sum_ranks_lower():
+    # the defender answers with alpha index 1 when adversary 2 plays t
+    # index 10 and with 0 otherwise; in one chunk, (0, 5, 5) has the
+    # larger float sum and (0, 5, 10) the larger fsum
+    tables = build_tables(game_preset("three_adv_log", sample_size=50))
+    adv_error = [np.zeros_like(tab) for tab in tables.adv_error]
+    adv_error[2][10, 0] = 1.0
+    ulp = 2.0 ** -52
+    attacker = [np.zeros_like(tab) for tab in tables.attacker]
+    attacker[0][0, :2] = 1.0
+    attacker[1][5, :2] = 0.625 * ulp, 0.125 * ulp
+    attacker[2][5, 0] = 0.5 * ulp
+    attacker[2][10, 1] = 1.375 * ulp
+    tables = dataclasses.replace(
+        tables, attacker=attacker, adv_error=adv_error,
+        normal_error=np.zeros_like(tables.normal_error))
+    pays = np.array([[1.0, 0.625 * ulp, 0.5 * ulp],
+                     [1.0, 0.125 * ulp, 1.375 * ulp]])
+    assert pays.sum(axis=1).tolist() == [1.0 + 2 * ulp, 1.0 + ulp]
+    assert [math.fsum(row) for row in pays] == [1.0 + ulp, 1.0 + 2 * ulp]
+    expected, _ = brute_force_follower(tables)
+    assert (expected.t_indices, expected.alpha_index) == ((0, 5, 10), 1)
+    assert solve_follower(tables) == expected
+
+
 def test_follower_memory_stays_below_one_profile_table():
     # 21^3 = 9261 joint profiles x 99 radii: one float64 array over the
     # whole lattice would take 7.3 MB
@@ -382,6 +472,36 @@ def test_config_validation():
         PopulationSpec(mean=(0.0,), cov=((1.0,),), sample_size=1)
     with pytest.raises(ValidationError):
         solve_game(small_config(sample_size=50), "middle")
+
+
+def test_config_checks_its_populations():
+    normal = PopulationSpec(mean=(0.0, 0.0), cov=((1.0, 0.0), (0.0, 2.0)),
+                            sample_size=10)
+    util = UtilitySpec("log", a=1.0)
+    eye3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    cases = [
+        # another dimension than the normal population
+        ((1.0, 2.0, 3.0), eye3, "dimension"),
+        # a cov whose shape does not match the mean
+        ((1.0, 2.0), ((1.0,),), "q x q"),
+        ((1.0, 2.0), eye3, "q x q"),
+        # indefinite
+        ((1.0, 2.0), ((1.0, 2.0), (2.0, 1.0)), "positive definite"),
+        # not finite
+        ((math.nan, 2.0), ((1.0, 0.0), (0.0, 1.0)), "finite vector"),
+        ((1.0, 2.0), ((1.0, 0.0), (0.0, math.inf)), "finite q x q"),
+        (((1.0, 2.0),), ((1.0, 0.0), (0.0, 1.0)), "finite vector"),
+        (("one", 2.0), ((1.0, 0.0), (0.0, 1.0)), "numeric"),
+    ]
+    for mean, cov, match in cases:
+        bad = PopulationSpec(mean=mean, cov=cov, sample_size=10)
+        with pytest.raises(ValidationError, match=match):
+            GameConfig(normal=normal, adversaries=[bad], utilities=[util],
+                       cost_c=1.0)
+        if match != "dimension":
+            with pytest.raises(ValidationError, match=match):
+                GameConfig(normal=bad, adversaries=[normal],
+                           utilities=[util], cost_c=1.0)
 
 
 def test_solver_reuses_supplied_tables():

@@ -6,6 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from adclust.errors import DegenerateRegionError, ValidationError
 from adclust.walls import (RegionStats, Wall, chi2_quantile, eta_of_alpha,
@@ -209,3 +210,36 @@ def test_eta_of_alpha_takes_an_array_of_levels():
         assert type(single) is float and single == eta
     with pytest.raises(ValidationError):
         eta_of_alpha(stats, np.array([0.5, 1.0]), sample_size=5000)
+
+
+def dimension_order_scores(wall, points):
+    """Each row's score as plain float terms summed in dimension order,
+    one point at a time."""
+    cho = cho_factor(wall.stats.covariance, lower=True)
+    scores = []
+    for x in points.tolist():
+        d = [xi - mi for xi, mi in zip(x, wall.stats.mean.tolist())]
+        if wall.kind == "euclidean":
+            solved = cho_solve(cho, np.array(d)).tolist()
+            terms = [di * si for di, si in zip(d, solved)]
+        else:
+            terms = [abs(di) / sd for di, sd
+                     in zip(d, wall.stats.stddevs.tolist())]
+        total = 0.0
+        for term in terms:
+            total += term
+        scores.append(total)
+    return np.array(scores)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("q", [3, 8, 9])
+def test_scores_are_dimension_order_sums_in_any_layout(q, kind):
+    rng = np.random.default_rng(q)
+    a = rng.standard_normal((q, q))
+    stats = stats_from_moments(rng.standard_normal(q), a @ a.T + np.eye(q))
+    wall = Wall(kind=kind, stats=stats, level=0.5, radius=1.0)
+    points = 3.0 * rng.standard_normal((2000, q))
+    want = dimension_order_scores(wall, points).tobytes()
+    assert wall.score(points).tobytes() == want
+    assert wall.score(np.asfortranarray(points)).tobytes() == want
