@@ -16,21 +16,22 @@ every strategy pair, precomputed into per-adversary tables over the
   alpha; attackers jointly pick the profile maximizing the sum of their
   utilities (ties toward smaller total t, then smaller alpha).
 
-Every pass fraction is an exact count over the sorted scores. The count
-never falls as the radius grows, so it splits each t row into decided
-and mixed cells: a radius that passes nothing pays 0.0 (payoffs are
-never negative, so that is the masked mean exactly), one that passes
-everything pays the plain mean of the payoffs, and only the radii in
-between take the masked mean. That mean is of the pass mask times the
-payoffs, bitwise np.where(mask, pay, 0.0) because payoffs are finite,
->= 0 and never -0.0. Every payoff entry is one row of a mean along the
-sample axis, which numpy sums exactly as the 1-d mean of direct
-evaluation does, so direct evaluation and table lookup agree bitwise,
-and results do not depend on BLAS threading. Each adversary sample is
-held dimension-major (Fortran order), so the attack, its cost and the
-wall score all step along the sample; wall scores do not depend on
-layout, so the direct evaluation of a row-major draw gives the same
-bits.
+Every pass fraction is an exact count over the sorted scores, and every
+payoff entry is a correctly rounded mean: the exact sum of the payoffs
+of the objects inside the wall, rounded once, divided by the sample
+size. The objects a radius passes are a prefix of the sample in score
+order, so build_tables takes each t row's entries from one exact prefix
+sum of its payoffs in that order (grid._exact_prefix_sums), and direct
+evaluation sums the masked payoffs with grid._exact_row_sums. Both are
+bitwise math.fsum of the same values, so direct evaluation and table
+lookup agree bitwise whatever the order of the sample, and results do
+not depend on BLAS threading. Contraction toward the wall's own mean
+scales every score by nearly the same factor, so each row's order is a
+stable sort of the previous row's: correct in any case, and cheap when
+the order barely moves. Each adversary sample is held dimension-major
+(Fortran order), so the attack, its cost and the wall score all step
+along the sample; wall scores do not depend on layout, so the direct
+evaluation of a row-major draw gives the same bits.
 
 The follower search streams the joint profiles in chunks and takes the
 defender's best responses for a whole chunk at once, through the same
@@ -49,12 +50,10 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
-from .grid import _sq_distances
+from .grid import _exact_prefix_sums, _exact_row_sums, _sq_distances
 from .walls import RegionStats, Wall, chi2_quantile, eta_of_alpha, \
     fit_region_stats, sample_gaussian
 
-# Radii whose payoff means build_tables takes in one (chunk, sample) array.
-_ALPHA_CHUNK = 16
 # Attack profiles whose defender responses solve_follower takes in one
 # (chunk, alpha) array.
 _PROFILE_CHUNK = 128
@@ -220,11 +219,15 @@ class Equilibrium:
 
 def attacker_utility(util: UtilitySpec, adversary_sample: np.ndarray,
                      mu_g: np.ndarray, t: float, wall: Wall) -> float:
-    """Mean payoff over the sample; objects outside the wall pay 0."""
+    """Mean payoff over the sample; objects outside the wall pay 0. The
+    payoffs' sum is correctly rounded (bitwise math.fsum) before the
+    division, so the mean does not depend on the order of the sample and
+    equals build_tables' entry bitwise."""
     moved = apply_attack(adversary_sample, mu_g, t)
     pay = util.payoff(movement_cost(adversary_sample, moved))
     s = wall.score(moved)
-    return float(np.where(s <= wall.radius, pay, 0.0).mean())
+    inside = np.where(s <= wall.radius, pay, 0.0)
+    return float(_exact_row_sums(inside[None, :])[0] / s.size)
 
 
 def defender_utility(normal_error, adversary_error, cost_c: float):
@@ -270,25 +273,21 @@ def build_tables(config: GameConfig) -> GameTables:
                                                    spec.sample_size, spec.seed))
         a_tab = np.empty((n_t, len(alphas)))
         e_tab = np.empty((n_t, len(alphas)))
+        order = np.arange(spec.sample_size)
         for it, t in enumerate(ts):
             moved = apply_attack(sample, mu_g, float(t))
             pay = util.payoff(movement_cost(sample, moved))
             s = wall.score(moved)
-            passed = np.searchsorted(np.sort(s), radii, side="right")
+            # contraction scales every score by about the same factor, so
+            # after the first row the stable sort finds s[order] nearly
+            # sorted already
+            order = order[np.argsort(s[order], kind="stable")]
+            passed = np.searchsorted(s[order], radii, side="right")
             e_tab[it] = passed / s.size
-            # passed never falls as the radius grows: radii below lo pass
-            # nothing (pay >= 0, so the mean is 0.0), radii from hi on pass
-            # everything (the mean of pay, as the same row reduction)
-            lo = np.searchsorted(passed, 0, side="right")
-            hi = np.searchsorted(passed, s.size)
-            a_tab[it, :lo] = 0.0
-            a_tab[it, hi:] = pay[None, :].mean(axis=1)
-            # pay is finite, >= 0 and never -0.0, so inside * pay is bitwise
-            # np.where(inside, pay, 0.0)
-            for start in range(lo, hi, _ALPHA_CHUNK):
-                stop = min(start + _ALPHA_CHUNK, hi)
-                inside = s <= radii[start:stop, None]
-                a_tab[it, start:stop] = (inside * pay).mean(axis=1)
+            # the samples that pass radius ih are the first passed[ih] in
+            # score order, so every entry is one prefix of the sorted pay
+            a_tab[it] = _exact_prefix_sums(pay[order][None, :],
+                                           passed[None, :])[0] / s.size
         attacker.append(a_tab)
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,

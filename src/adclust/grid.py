@@ -7,11 +7,15 @@ correctly rounded sum of its values divided by their count, which makes
 rt and dt bit-identical under any permutation of the points and lets an
 independent oracle reproduce them exactly with math.fsum. Distance rows
 are summed by _exact_row_sums: one exact split of each row at a power of
-two (Rump, Ogita & Oishi's ExtractVector, 2008) gives a high part that
-sums exactly and a low part whose float sum errs by less than a known
-bound, and a row keeps the result only where that bound certifies it,
-falling back to fsum otherwise; short lists of means are summed by
-math.fsum; the integer n(p) of a cell by an exact integer sum.
+two (_split, Rump, Ogita & Oishi's ExtractVector, 2008) gives a high
+part that sums exactly and a low part whose float sum errs by less than
+a known bound, and a row keeps the result only where that bound
+certifies it (_certify), falling back to fsum otherwise; short lists of
+means are summed by math.fsum; the integer n(p) of a cell by an exact
+integer sum. _exact_prefix_sums applies the same split and the same
+certificate to running sums, giving the sum of any prefix of a row
+(the game's attacker tables use it). Both read inf for a sum past the
+largest float, its correct rounding, where math.fsum raises.
 
 build_grid sorts the points by cell key once (a stable np.lexsort) and
 numbers the occupied cells in sorted key order: Grid.keys holds one key
@@ -114,47 +118,107 @@ def _fmean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _exact_row_sums(block: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-d block of nonnegative
-    finite float64 values, bitwise equal to math.fsum(row).
+def _split(x: np.ndarray):
+    """One power-of-two split of each row of x, nonnegative and finite:
+    (x with rows whose sigma would pass 2^1023 zeroed, their high parts,
+    sigma per row, which rows fit).
 
-    Blocks of at least _SPLIT_ELEMENTS values split every row once at a
-    power of two (ExtractVector, the first step of AccSum in Rump, Ogita
-    & Oishi, "Accurate floating-point summation, Part I", SIAM J. Sci.
-    Comput. 2008). For a row of width w whose max is below 2^e, take
-    sigma = 2^(e + m) with 2^m >= w + 2 and u = 2^-53. Then high =
-    fl(fl(x + sigma) - sigma) is a multiple of 2 u sigma, so the highs
-    sum exactly in any order, and low = x - high is exact with |low| <=
-    u sigma, so the float sum of the lows errs by less than 2 w^2 u^2
-    sigma. A row keeps fl(t1 + t2), t1 and t2 the sums of its highs and
-    lows, only when that bound plus the exact tail of t1 + t2 is strictly
-    below half the gap to the next float down, which makes it the
-    correct rounding (the certificate behind AccSum/NearSum); so does an
-    all-zero row. Every other row, rows whose sigma would pass 2^1023,
-    and every row of a smaller block go to math.fsum. The comparison
-    doubles the bound to cover its own roundings; a bound that underflows
-    is still safe, since every error is a multiple of the subnormal step.
+    For a row of width w whose max is below 2^e, sigma = 2^(e + m) with
+    2^m >= w + 2 and u = 2^-53. high = fl(fl(x + sigma) - sigma) is a
+    multiple of 2 u sigma, so the highs of any of the row's values sum
+    exactly in any order, and low = x - high is exact with |low| <= u
+    sigma.
     """
-    width = block.shape[1]
-    if block.size < _SPLIT_ELEMENTS:
-        return np.array([math.fsum(row) for row in block.tolist()])
-    top = block.max(axis=1)
-    exp = np.frexp(top)[1] + (width + 1).bit_length()
+    exp = np.frexp(x.max(axis=1))[1] + (x.shape[1] + 1).bit_length()
     fits = exp <= 1023
-    x = block if fits.all() else block * fits[:, None]
+    if not fits.all():
+        x = x * fits[:, None]
     sigma = np.ldexp(1.0, np.minimum(exp, 1023))
     high = x + sigma[:, None]
     high -= sigma[:, None]
-    t1 = high.sum(axis=1)
-    t2 = np.subtract(x, high, out=high).sum(axis=1)
+    return x, high, sigma, fits
+
+
+def _certify(t1: np.ndarray, t2: np.ndarray, bound: np.ndarray):
+    """fl(t1 + t2), and where it is the correctly rounded sum of values
+    >= 0 whose highs sum exactly to t1 and whose lows sum to within bound
+    of t2: where bound plus the exact tail of t1 + t2 is strictly below
+    half the gap to the next float down (the certificate behind
+    AccSum/NearSum), and where t1 + t2 rounds to zero (which values >= 0
+    do only when all are zero). bound must be twice the lows' error bound,
+    to cover the comparison's own roundings; one that underflows is
+    still safe, since every error is a multiple of the subnormal step.
+    """
     total = t1 + t2
     z = total - t1
     tail = (t1 - (total - z)) + (t2 - z)
     half_gap = 0.5 * (total - np.nextafter(total, 0.0))
-    bound = sigma * (4.0 * width * width * 2.0 ** -106)
-    certified = ((bound < half_gap - np.abs(tail)) & fits) | (top == 0.0)
-    for i in np.flatnonzero(~certified).tolist():
-        total[i] = math.fsum(block[i].tolist())
+    return total, (bound < half_gap - np.abs(tail)) | (total == 0.0)
+
+
+def _fsum(values: list[float]) -> float:
+    """math.fsum of values >= 0; inf where their sum overflows, which is
+    then its correct rounding."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _exact_row_sums(block: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-d block of nonnegative
+    finite float64 values, bitwise equal to math.fsum(row) (inf where
+    that overflows, as in _fsum).
+
+    Blocks of at least _SPLIT_ELEMENTS values split every row once at a
+    power of two (_split: ExtractVector, the first step of AccSum in
+    Rump, Ogita & Oishi, "Accurate floating-point summation, Part I",
+    SIAM J. Sci. Comput. 2008). The highs of a row of width w sum
+    exactly to t1, and the float sum t2 of its lows errs by less than
+    2 w^2 u^2 sigma. A row keeps fl(t1 + t2) only where _certify proves
+    it correctly rounded. Every other row, rows whose sigma would pass
+    2^1023, and every row of a smaller block go to math.fsum.
+    """
+    width = block.shape[1]
+    if block.size < _SPLIT_ELEMENTS:
+        return np.array([_fsum(row) for row in block.tolist()])
+    x, high, sigma, fits = _split(block)
+    t1 = high.sum(axis=1)
+    t2 = np.subtract(x, high, out=high).sum(axis=1)
+    total, certified = _certify(t1, t2,
+                                sigma * (4.0 * width * width * 2.0 ** -106))
+    for i in np.flatnonzero(~(certified & fits)).tolist():
+        total[i] = _fsum(block[i].tolist())
+    return total
+
+
+def _exact_prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Correctly rounded sums of row prefixes: out[r, j] is bitwise
+    math.fsum(values[r, :ends[r, j]]) (inf where that overflows, as in
+    _fsum), for a 2-d block of nonnegative finite float64 values and
+    integer ends in [0, width].
+
+    One _split per row, as in _exact_row_sums: the running sums of the
+    highs are exact, and the running float sum of the lows errs by less
+    than 2 k^2 u^2 sigma after k values (whatever the order of the
+    additions). Each end keeps fl(t1 + t2) where _certify proves it
+    correctly rounded; every other end, and every end of a row whose
+    sigma would pass 2^1023, goes to math.fsum of its prefix.
+    """
+    rows, width = values.shape
+    x, high, sigma, fits = _split(values)
+    at = (np.arange(rows)[:, None], ends)
+    cum = np.zeros((rows, width + 1))
+    np.cumsum(high, axis=1, out=cum[:, 1:])
+    t1 = cum[at]
+    np.cumsum(np.subtract(x, high, out=high), axis=1, out=cum[:, 1:])
+    t2 = cum[at]
+    k = ends.astype(np.float64)
+    total, certified = _certify(t1, t2,
+                                sigma[:, None] * (4.0 * k * k * 2.0 ** -106))
+    certified &= fits[:, None]
+    for r, j in zip(*np.nonzero(~certified)):
+        total[r, j] = _fsum(values[r, :ends[r, j]].tolist())
     return total
 
 

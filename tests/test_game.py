@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adclust.errors import GridBudgetError, ValidationError
-from adclust.game import (_ALPHA_CHUNK, Equilibrium, GameConfig,
+from adclust.game import (Equilibrium, GameConfig,
                           PopulationSpec, UtilitySpec, apply_attack,
                           attacker_utility, build_tables, defender_utility,
                           movement_cost, solve_follower, solve_game,
@@ -127,6 +127,46 @@ def test_attacker_utility_direct_matches_tables_bitwise():
         assert direct == tables.attacker[0][it, ih]
 
 
+def masked_payoffs(config, tables, it):
+    """Adversary 0's payoffs at ts[it] and its pass mask at every radius,
+    (alphas, sample)."""
+    sample = draw(config.adversaries[0])
+    moved = apply_attack(sample, tables.mu_g, float(tables.ts[it]))
+    pay = config.utilities[0].payoff(movement_cost(sample, moved))
+    s = wall_at(config, tables, 0).score(moved)
+    return np.where(s <= tables.radii[:, None], pay, 0.0)
+
+
+def test_table_cells_are_correctly_rounded_means():
+    config = small_config(sample_size=300)
+    tables = build_tables(config)
+    pairwise_differs = 0
+    for it in range(len(tables.ts)):
+        masked = masked_payoffs(config, tables, it)
+        exact = np.array([math.fsum(row) for row in masked.tolist()]) / 300
+        np.testing.assert_array_equal(tables.attacker[0][it], exact)
+        pairwise_differs += (masked.mean(axis=1) != exact).sum()
+    # numpy's pairwise mean misses the correct rounding on this input
+    assert pairwise_differs > 0
+
+
+def test_attacker_utility_ignores_sample_order():
+    # 2000 draws: the direct sum takes the split of _exact_row_sums
+    config = small_config(sample_size=2000)
+    tables = build_tables(config)
+    sample = draw(config.adversaries[0])
+    shuffled = sample[np.random.default_rng(3).permutation(len(sample))]
+    util = config.utilities[0]
+    for it in range(0, len(tables.ts), 5):
+        t = float(tables.ts[it])
+        for ih in range(0, len(tables.alphas), 7):
+            wall = wall_at(config, tables, ih)
+            direct = attacker_utility(util, sample, tables.mu_g, t, wall)
+            assert same_bits(direct, attacker_utility(util, shuffled,
+                                                      tables.mu_g, t, wall))
+            assert same_bits(direct, tables.attacker[0][it, ih])
+
+
 def same_bits(a, b) -> bool:
     """Float equality that also tells 0.0 from -0.0."""
     return np.float64(a).tobytes() == np.float64(b).tobytes()
@@ -151,7 +191,6 @@ def assert_tables_match_direct_evaluation(config, tables):
 
 @pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
 def test_every_table_cell_matches_direct_evaluation_bitwise(wall_kind):
-    # 19 radii: one full alpha chunk and a partial one
     config = small_config(sample_size=1000, wall_kind=wall_kind,
                           alpha_step=0.05, t_step=0.05)
     assert_tables_match_direct_evaluation(config, build_tables(config))
@@ -165,15 +204,45 @@ def test_every_three_adversary_cell_matches_direct_evaluation_bitwise(
         alpha_step=0.02, t_step=0.1)
     tables = build_tables(config)
     # each adversary has cells where nothing, part and everything passes,
-    # all three in one row, and some row's partial cells span two alpha
-    # chunks
-    widest = 0
+    # all three in one row
     for err in tables.adv_error:
         none, part, full = err == 0.0, (err > 0.0) & (err < 1.0), err == 1.0
         assert none.any() and part.any() and full.any()
         assert (none.any(axis=1) & part.any(axis=1) & full.any(axis=1)).any()
-        widest = max(widest, part.sum(axis=1).max())
-    assert widest > _ALPHA_CHUNK
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+@pytest.mark.parametrize("k_max", [1e300, 1e306])
+def test_huge_payoff_cells_match_direct_evaluation_bitwise(k_max):
+    # payoffs of about 0.9 k_max to k_max, as the costs stay below 10. At
+    # 1e306 the split would need a sigma past 2^1023, so every sum goes to
+    # fsum, and the sums that pass most of the 300 draws overflow to inf
+    config = small_config(family="linear", a=k_max / 100.0, k_max=k_max,
+                          sample_size=300, alpha_step=0.05, t_step=0.05)
+    tables = build_tables(config)
+    assert (tables.attacker[0] > k_max / 2.0).any()
+    assert (tables.attacker[0] == math.inf).any() == (k_max > 1e305)
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+def test_cells_hold_when_contraction_reorders_the_scores(monkeypatch):
+    # build_tables sorts each t row starting from the previous row's
+    # order, which contraction alone barely moves. A score it does not
+    # scale reorders the sample from row to row; the cells must not care.
+    score = Wall.score
+
+    def scrambled(self, points):
+        wobble = np.sin(1e3 * np.asarray(points)[:, 0]) ** 2
+        return score(self, points) * (1.0 + wobble)
+
+    monkeypatch.setattr(Wall, "score", scrambled)
+    config = small_config(sample_size=300, alpha_step=0.05, t_step=0.05)
+    tables = build_tables(config)
+    sample = draw(config.adversaries[0])
+    wall = wall_at(config, tables, 0)
+    orders = [np.argsort(wall.score(apply_attack(sample, tables.mu_g, t)),
+                         kind="stable") for t in tables.ts.tolist()]
+    assert all((a != b).any() for a, b in zip(orders, orders[1:-1]))
     assert_tables_match_direct_evaluation(config, tables)
 
 

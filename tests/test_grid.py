@@ -10,8 +10,9 @@ from conftest import oracle_grid_cells, oracle_thresholds
 
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (_SPLIT_ELEMENTS, _exact_row_sums, _neighborhoods,
-                          build_grid, compute_density, compute_dt, compute_rt)
+from adclust.grid import (_SPLIT_ELEMENTS, _exact_prefix_sums,
+                          _exact_row_sums, _neighborhoods, build_grid,
+                          compute_density, compute_dt, compute_rt)
 from adclust.walls import sample_gaussian
 
 G = _SPLIT_ELEMENTS
@@ -334,8 +335,8 @@ def fsum_rows(block):
     return np.array([math.fsum(row) for row in block.tolist()])
 
 
-def row_sums_and_fallbacks(block, monkeypatch):
-    """_exact_row_sums(block) and how many rows it sent to math.fsum."""
+def sums_and_fallbacks(sums_of, monkeypatch, *args):
+    """sums_of(*args) and how many sums it sent to math.fsum."""
     calls = []
 
     def counting_fsum(values, fsum=math.fsum):
@@ -344,8 +345,13 @@ def row_sums_and_fallbacks(block, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(grid_module.math, "fsum", counting_fsum)
-        sums = _exact_row_sums(block)
+        sums = sums_of(*args)
     return sums, len(calls)
+
+
+def row_sums_and_fallbacks(block, monkeypatch):
+    """_exact_row_sums(block) and how many rows it sent to math.fsum."""
+    return sums_and_fallbacks(_exact_row_sums, monkeypatch, block)
 
 
 def assert_bitwise(a, b):
@@ -511,6 +517,132 @@ def test_exact_row_sums_huge_rows_go_to_fsum(monkeypatch):
         sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, fsum_rows(block))
     assert fallbacks == 3
+
+
+def fsum_or_inf(values):
+    """math.fsum of values >= 0, inf where it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def test_exact_row_sums_overflowing_rows_read_inf(monkeypatch):
+    # fsum raises on a sum past the largest float; for values >= 0 the
+    # correct rounding of such a sum is inf. The first row's sigma passes
+    # 2^1023, so it goes to fsum; the second's fits and takes the split.
+    block = with_zero_rows(np.full((2, W), 1e307))
+    block[1] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert sums[0] == math.inf
+    assert sums[1] == math.fsum(block[1])
+    assert fallbacks == 1
+    assert _exact_row_sums(block[:1, :8]).tolist() == [8e307]
+
+
+def fsum_prefixes(values, ends):
+    return np.array([[fsum_or_inf(row[:end]) for end in row_ends]
+                     for row, row_ends in zip(values.tolist(),
+                                              ends.tolist())])
+
+
+def prefix_sums_and_fallbacks(values, ends, monkeypatch):
+    """_exact_prefix_sums(values, ends) and how many ends it sent to
+    math.fsum."""
+    return sums_and_fallbacks(_exact_prefix_sums, monkeypatch, values, ends)
+
+
+def test_exact_prefix_sums_match_fsum_of_every_prefix(monkeypatch):
+    rng = np.random.default_rng(7)
+    width = 3000
+    values = rng.uniform(size=(4, width)) ** 3 * 7.0
+    values[1] = np.sort(values[1])
+    values[2, ::3] = 0.0
+    # unsorted ends, repeats, and both 0 and the full width in every row
+    ends = rng.integers(0, width + 1, size=(4, 40))
+    ends[:, :3] = [0, width, 0]
+    sums, fallbacks = prefix_sums_and_fallbacks(values, ends, monkeypatch)
+    assert_bitwise(sums, fsum_prefixes(values, ends))
+    assert fallbacks == 0
+    assert not sums[:, 0].any()
+    assert_bitwise(sums[:, 1], _exact_row_sums(values))
+
+
+def test_exact_prefix_sums_zeros_and_ties(monkeypatch):
+    values = np.zeros((4, W))
+    values[1] = 0.1
+    values[2, 1::2] = 2.0 ** -60
+    values[2, ::2] = 1.0
+    values[3, 40:] = 5e-324
+    ends = np.tile(np.arange(0, W + 1, 3), (4, 1))
+    sums, fallbacks = prefix_sums_and_fallbacks(values, ends, monkeypatch)
+    assert_bitwise(sums, fsum_prefixes(values, ends))
+    # zero sums are exact; 0.1 (k - 1) + 0.1 hits half-ulp ties often, and
+    # the subnormal sums' half gaps underflow to 0
+    assert not sums[0].any() and not sums[3, :14].any()
+    assert fallbacks <= 2 * ends.shape[1]
+
+
+def test_exact_prefix_sums_subnormals_and_wide_exponent_range():
+    rng = np.random.default_rng(9)
+    tiny = rng.integers(0, 1 << 20, size=(4, W + 3)) * 5e-324
+    mixed = np.where(rng.uniform(size=(4, 2 * W)) < 0.5, 1e300, 1e-300)
+    mixed *= rng.uniform(0.5, 1.5, size=mixed.shape)
+    spread = rng.uniform(size=(4, W)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(4, W))
+    for values in (tiny, mixed, spread):
+        ends = rng.integers(0, values.shape[1] + 1, size=(4, 25))
+        assert_bitwise(_exact_prefix_sums(values, ends),
+                       fsum_prefixes(values, ends))
+
+
+def test_exact_prefix_sums_bound_the_error_of_lo(monkeypatch):
+    # the row of test_exact_row_sums_bound_the_error_of_lo: added in order,
+    # each c is lost to u - 2^-106, so after the third c the float sum
+    # 1.5 sits below the tie 1.5 + u that the exact sum is above
+    u = 2.0 ** -53
+    row = np.zeros(W)
+    row[0], row[1] = 1.5, u - 2.0 ** -106
+    row[[9, 17, 25]] = 1.75 * 2.0 ** -108
+    ends = np.array([[1, 2, 10, 18, 26, W]])
+    sums, fallbacks = prefix_sums_and_fallbacks(row[None], ends, monkeypatch)
+    assert_bitwise(sums, fsum_prefixes(row[None], ends))
+    assert sums[0, -1] == 1.5 + 2 * u
+    assert fallbacks == 5
+
+
+def test_exact_prefix_sums_uncertified_ends_go_to_fsum(monkeypatch):
+    values = np.sqrt(np.random.default_rng(10).uniform(size=(3, 500)))
+    ends = np.tile([0, 1, 250, 499, 500], (3, 1))
+    forced = np.zeros(ends.shape, dtype=bool)
+    forced[[0, 1, 2], [2, 4, 1]] = True
+
+    def uncertifying(t1, t2, bound, certify=grid_module._certify):
+        return certify(t1, t2, np.where(forced, np.inf, bound))
+
+    monkeypatch.setattr(grid_module, "_certify", uncertifying)
+    sums, fallbacks = prefix_sums_and_fallbacks(values, ends, monkeypatch)
+    assert_bitwise(sums, fsum_prefixes(values, ends))
+    assert fallbacks == 3
+
+
+def test_exact_prefix_sums_huge_rows_go_to_fsum(monkeypatch):
+    # as in test_exact_row_sums_huge_rows_go_to_fsum, rows whose max
+    # reaches 2^1016 (the last two) take every end to fsum, where the
+    # last row's full sum overflows
+    rng = np.random.default_rng(11)
+    exps = np.array([1010, 1016, 1017, 1022])
+    values = rng.uniform(0.5, 1.0, size=(exps.size, W)) * 2.0 ** exps[:, None]
+    ends = np.tile([0, 1, 5, W], (exps.size, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, fallbacks = prefix_sums_and_fallbacks(values, ends,
+                                                    monkeypatch)
+    assert_bitwise(sums, fsum_prefixes(values, ends))
+    assert sums[3, -1] == math.inf
+    assert fallbacks == 2 * ends.shape[1]
 
 
 def test_compute_rt_blocks_certify_on_a_q2_mixture(monkeypatch):
