@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .core import AdclustParams, adclust
+from .core import AdclustParams, adclust, finish, prepare
 from .dataset import ingest_csv, read_truth_csv, write_csv
 from .errors import (DegenerateGeometryError, DegenerateRegionError,
                      GridBudgetError, ValidationError)
@@ -186,27 +186,31 @@ def _cmd_game(args) -> int:
     return 0
 
 
-def _sweep_run(task: tuple) -> dict:
-    """One grid point: cluster, write its report, return its aggregate
-    row. Top-level so process pools can pickle it."""
-    out, kind, run, dataset, truth, params = task
-    result = adclust(dataset, params)
-    metrics = cluster_metrics(result, truth)
-    command = {"command": "sweep", "kind": kind, "k": params.k,
-               "alpha": params.alpha, "run": run}
-    dump_json(build_cluster_report(dataset, result, truth, command, metrics),
-              os.path.join(out, f"report_k{params.k:g}_a{params.alpha:g}"
-                                f"_r{run}.json"))
-    return {
-        "k": params.k, "alpha": params.alpha, "seed": params.seed,
-        "run": run,
-        "mixed_count": metrics["region_counts"]["mixed_overlap"],
-        "outlier_count": metrics["region_counts"]["outlier"],
-        "mixed_plus_outliers": metrics["mixed_plus_outliers"],
-        "abnormal_fraction_mixed": metrics["abnormal_fraction_mixed"],
-        "wall_purity": metrics["wall_purity"],
-        "wall_count": metrics["wall_count"],
-    }
+def _sweep_run(task: tuple) -> list[dict]:
+    """One run: prepare its stage once, then cluster it at each grid
+    point, write that point's report and return the aggregate rows in
+    grid order. Top-level so process pools can pickle it."""
+    out, kind, run, dataset, truth, params, grid = task
+    stage = prepare(dataset, params)
+    rows = []
+    for k, alpha in grid:
+        result = finish(stage, k, alpha)
+        metrics = cluster_metrics(result, truth)
+        command = {"command": "sweep", "kind": kind, "k": k, "alpha": alpha,
+                   "run": run}
+        dump_json(build_cluster_report(dataset, result, truth, command,
+                                       metrics),
+                  os.path.join(out, f"report_k{k:g}_a{alpha:g}_r{run}.json"))
+        rows.append({
+            "k": k, "alpha": alpha, "seed": params.seed, "run": run,
+            "mixed_count": metrics["region_counts"]["mixed_overlap"],
+            "outlier_count": metrics["region_counts"]["outlier"],
+            "mixed_plus_outliers": metrics["mixed_plus_outliers"],
+            "abnormal_fraction_mixed": metrics["abnormal_fraction_mixed"],
+            "wall_purity": metrics["wall_purity"],
+            "wall_count": metrics["wall_count"],
+        })
+    return rows
 
 
 def _cmd_sweep(args) -> int:
@@ -233,8 +237,8 @@ def _cmd_sweep(args) -> int:
     out = _ensure_out(args.out)
 
     def tasks():
-        # run-major over ascending grids: rows come in (run, alpha, k)
-        # order, which is the order of aggregate.csv
+        # one task per run over ascending grids: rows come in (run,
+        # alpha, k) order, which is the order of aggregate.csv
         for run in range(args.runs):
             seed = args.seed + run
             if args.preset is not None:
@@ -244,18 +248,17 @@ def _cmd_sweep(args) -> int:
             else:
                 dataset, run_truth, _ = _load_csv(args, seed, truth)
                 params = dataclasses.replace(csv_params, seed=seed)
-            for k, alpha in grid:
-                yield (out, args.kind, run, dataset, run_truth,
-                       dataclasses.replace(params, k=k, alpha=alpha))
+            yield out, args.kind, run, dataset, run_truth, params, grid
 
     # fork starts every worker at the first submit: start no idle ones
-    workers = min(args.workers, args.runs * len(grid))
+    workers = min(args.workers, args.runs)
     start = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_run, tasks()))
+            runs = list(pool.map(_sweep_run, tasks()))
     else:
-        rows = list(map(_sweep_run, tasks()))
+        runs = list(map(_sweep_run, tasks()))
+    rows = [row for run_rows in runs for row in run_rows]
     elapsed = time.perf_counter() - start
 
     write_sweep_csv(os.path.join(out, "aggregate.csv"), rows)

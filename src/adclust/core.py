@@ -21,11 +21,18 @@ unknown instead of inheriting extrapolated scores.
 
 Pass 2 reruns the merge on the leftover points with the original n(p),
 pass 3 on all points, both with the same rt and dt.
+
+adclust() is finish(prepare(dataset, params), k, alpha). prepare()
+computes what depends on neither the label weight k nor the wall level
+alpha: the grid, the kernel and its scores, rt, the rt graph, n(p), dt
+and pass 3. finish() runs passes 1 and 2, match, walls and containment,
+and fits each wall once per stage and (member ids, position, alpha), so
+a sweep prepares each run once and finishes it at every grid point.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -288,16 +295,33 @@ class ClusteringResult:
     protected: np.ndarray
 
 
-def adclust(dataset: Dataset, params: AdclustParams | None = None) -> ClusteringResult:
-    """Run thresholds, kernel weighting, three merges, match, and walls.
+@dataclass
+class Stage:
+    """What adclust() computes before k and alpha enter.
 
-    One wall is fitted per normal region with at least min_wall_size
-    members, at level alpha. inside_walls marks the points inside any
-    wall; the protected set is the normal core among them.
+    prepare() fills it once per (dataset, params); finish() clusters it
+    at any k and alpha. walls caches fitted walls by (member ids, wall
+    position, alpha): within one stage the kind, seed and sample size
+    that a wall also depends on are fixed by params.
     """
-    params = params or AdclustParams()
-    pts = dataset.points
 
+    dataset: Dataset
+    params: AdclustParams
+    thresholds: Thresholds
+    profile: DensityProfile
+    pairs: Pairs
+    n_p: np.ndarray
+    bandwidth: float
+    scores: np.ndarray
+    uninformative_scores: int
+    clusters: list[np.ndarray]
+    walls: dict = field(default_factory=dict)
+
+
+def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
+    """Thresholds, densities, the rt graph, kernel scores and pass 3:
+    everything that depends on neither k nor alpha."""
+    pts = dataset.points
     grid = build_grid(pts, params.target_fraction)
     clf = fit_kernel(dataset, bandwidth=params.bandwidth)
     rt, a_p, _ = compute_rt(grid, pts, params.coef_rt)
@@ -308,34 +332,52 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
     n_p = compute_density(grid, pts, rt, exact=params.exact_density,
                           pairs=pairs)
     dt, _ = compute_dt(grid, n_p, params.coef_dt, params.log_base)
-    thresholds = Thresholds(rt=rt, dt=dt)
-    profile = DensityProfile(avg_dist_point=a_p,
-                             density_point=n_p.astype(np.float64))
-
     b, flags = pipeline_scores(dataset, clf)
-    w = weight(b, params.k)
-    rho = n_p * w
+    clusters, _ = pass3_global(pts, n_p, dt, rt, pairs)
+    return Stage(dataset=dataset, params=params,
+                 thresholds=Thresholds(rt=rt, dt=dt),
+                 profile=DensityProfile(avg_dist_point=a_p,
+                                        density_point=n_p.astype(np.float64)),
+                 pairs=pairs, n_p=n_p, bandwidth=clf.bandwidth, scores=b,
+                 uninformative_scores=int(flags.sum()), clusters=clusters)
+
+
+def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
+    """Passes 1 and 2, match, walls and containment at weight k and wall
+    level alpha; the stage's params supply every other knob.
+
+    One wall is fitted per normal region with at least min_wall_size
+    members, at level alpha. inside_walls marks the points inside any
+    wall; the protected set is the normal core among them.
+    """
+    params = replace(stage.params, k=k, alpha=alpha)
+    dataset = stage.dataset
+    pts = dataset.points
+    rt, dt = stage.thresholds.rt, stage.thresholds.dt
+    rho = stage.n_p * weight(stage.scores, k)
 
     normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-        pts, dataset.labels, rho, dt, rt, pairs)
-    unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt, pairs)
-    clusters, _ = pass3_global(pts, n_p, dt, rt, pairs)
+        pts, dataset.labels, rho, dt, rt, stage.pairs)
+    unlabeled_subs, _ = pass2_residual(pts, remaining, stage.n_p, dt, rt,
+                                       stage.pairs)
     comp = match(dataset.n, normal_subs, abnormal_subs, unlabeled_subs,
-                 clusters, conflicted)
+                 stage.clusters, conflicted)
 
     walls: list[Wall] = []
     wall_sub_ids: list[int] = []
     for idx, sc in enumerate(comp.sub_clusters):
         if sc.class_tag != "normal" or sc.members.size < params.min_wall_size:
             continue
-        stats = fit_region_stats(pts[sc.members])
-        if params.wall_kind == "euclidean":
-            wall = fit_euclidean_wall(stats, params.alpha)
-        else:
-            wall = fit_manhattan_wall(stats, params.alpha,
-                                      sample_size=params.eta_sample_size,
-                                      seed=[params.seed, len(walls)])
-        walls.append(wall)
+        key = (sc.members.tobytes(), len(walls), alpha)
+        if key not in stage.walls:
+            stats = fit_region_stats(pts[sc.members])
+            if params.wall_kind == "euclidean":
+                stage.walls[key] = fit_euclidean_wall(stats, alpha)
+            else:
+                stage.walls[key] = fit_manhattan_wall(
+                    stats, alpha, sample_size=params.eta_sample_size,
+                    seed=[params.seed, len(walls)])
+        walls.append(stage.walls[key])
         wall_sub_ids.append(idx)
 
     inside = np.zeros(dataset.n, dtype=bool)
@@ -345,7 +387,14 @@ def adclust(dataset: Dataset, params: AdclustParams | None = None) -> Clustering
 
     return ClusteringResult(composition=comp, walls=walls,
                             wall_sub_ids=wall_sub_ids,
-                            thresholds=thresholds, profile=profile,
-                            params=params, bandwidth=clf.bandwidth,
-                            uninformative_scores=int(flags.sum()),
+                            thresholds=stage.thresholds, profile=stage.profile,
+                            params=params, bandwidth=stage.bandwidth,
+                            uninformative_scores=stage.uninformative_scores,
                             inside_walls=inside, protected=protected)
+
+
+def adclust(dataset: Dataset, params: AdclustParams | None = None) -> ClusteringResult:
+    """Run thresholds, kernel weighting, three merges, match, and walls:
+    finish(prepare(dataset, params), params.k, params.alpha)."""
+    params = params or AdclustParams()
+    return finish(prepare(dataset, params), params.k, params.alpha)

@@ -24,10 +24,39 @@ except PackageNotFoundError:  # running from a source tree
     _PKG_VERSION = "0.1.0"
 
 
+# stands in for points.rows while the rest of a report is indented; a
+# NUL cannot occur in any string a report holds
+_ROWS_MARK = "\0points.rows\0"
+
+
+def _tolist(value):
+    return value.tolist()
+
+
 def dump_json(obj, path: str) -> None:
-    """numpy arrays and scalars are written as their tolist() values."""
-    text = json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda v: v.tolist())
+    """json.dumps(obj, sort_keys=True, indent=2) plus a newline; numpy
+    arrays and scalars are written as their tolist() values.
+
+    The indenting encoder is pure Python, so a cluster report's
+    points.rows, which holds only ints, bools and None, is encoded
+    compactly by the C encoder and its separators re-indented: the
+    bytes are the same.
+    """
+    rows = obj.get("points", {}).get("rows")
+    if rows:
+        obj = {**obj, "points": {**obj["points"], "rows": _ROWS_MARK}}
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_tolist)
+    if rows:
+        mark = json.dumps(_ROWS_MARK)
+        at = text.index(mark)
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        flat = json.dumps(rows, separators=(",", ":"), default=_tolist)
+        body = (flat[2:-2].replace("],[", "\0")
+                .replace(",", "," + pad + "    ")
+                .replace("\0", pad + "  ]," + pad + "  [" + pad + "    "))
+        text = (text[:at] + "[" + pad + "  [" + pad + "    " + body
+                + pad + "  ]" + pad + "]" + text[at + len(mark):])
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -238,13 +267,15 @@ def write_landscape_csv(path: str, tables: GameTables) -> None:
     with open(path, "w") as fh:
         fh.write("adversary,t,alpha,attacker_utility,adversary_error,"
                  "normal_error\n")
+        # tolist() gives Python floats, whose repr is the plain number
+        alphas = tables.alphas.tolist()
+        normal = tables.normal_error.tolist()
         for i, (a_tab, e_tab) in enumerate(zip(tables.attacker,
                                                tables.adv_error)):
-            for it, t in enumerate(tables.ts):
-                for ih, alpha in enumerate(tables.alphas):
-                    fh.write(f"{i},{t!r},{alpha!r},{a_tab[it, ih]!r},"
-                             f"{e_tab[it, ih]!r},"
-                             f"{tables.normal_error[ih]!r}\n")
+            for t, a_row, e_row in zip(tables.ts.tolist(), a_tab.tolist(),
+                                       e_tab.tolist()):
+                for alpha, a, e, ne in zip(alphas, a_row, e_row, normal):
+                    fh.write(f"{i},{t!r},{alpha!r},{a!r},{e!r},{ne!r}\n")
 
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:

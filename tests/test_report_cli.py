@@ -2,15 +2,20 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from adclust import cli
+from adclust import cli, core
 from adclust.cli import main
+from adclust.core import adclust
 from adclust.dataset import Dataset, ingest_csv, read_truth_csv, write_csv
-from adclust.synthetic import simulation_preset
+from adclust.game import solve_game
+from adclust.report import (build_cluster_report, build_game_report,
+                            cluster_metrics, dump_json)
+from adclust.synthetic import game_preset, simulation_preset
 from adclust.walls import eta_of_alpha, stats_from_moments
 
 
@@ -309,6 +314,42 @@ def test_game_cli_is_byte_deterministic(tmp_path):
         (out2 / "landscape.csv").read_bytes()
 
 
+def test_landscape_cells_are_plain_numbers(tmp_path):
+    out = tmp_path / "g"
+    assert main(["game", "--preset", "one_adv_exp", "--orientation",
+                 "follower", "--samples", "300", "--out", str(out)]) == 0
+    lines = (out / "landscape.csv").read_text().splitlines()
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 6
+        for cell in cells:
+            float(cell)
+
+
+def test_dump_json_matches_the_indenting_encoder(tmp_path):
+    dataset, truth, params = simulation_preset("sim1", seed=0)
+    result = adclust(dataset, params)
+    reports = [build_cluster_report(dataset, result, t, {"command": "x"},
+                                    cluster_metrics(result, t))
+               for t in (truth, None)]
+    eq, tables = solve_game(game_preset("one_adv_log", sample_size=300),
+                            "leader")
+    reports.append(build_game_report(eq, tables, {"command": "game"}))
+    rows = [[-3, None, True, False, 0, -1], [2, -1, -1, 1, None, True]]
+    for cut in ([], rows[:1], rows):
+        reports.append({**reports[1],
+                        "points": {"columns": ["c"] * 6, "rows": cut}})
+    reports.append({"points": {"rows": [[None]]}, "z": np.arange(3)})
+    assert any(-1 in row for row in reports[0]["points"]["rows"])
+    assert any(None in row for row in reports[1]["points"]["rows"])
+    for i, rep in enumerate(reports):
+        path = tmp_path / f"r{i}.json"
+        dump_json(rep, str(path))
+        assert path.read_text() == json.dumps(
+            rep, sort_keys=True, indent=2,
+            default=lambda v: v.tolist()) + "\n", i
+
+
 def test_game_cli_config_section(tmp_path):
     config = tmp_path / "g.ini"
     config.write_text("[game]\nsample_size = 250\ncost_c = 5.0\n")
@@ -352,18 +393,20 @@ def test_sweep_matches_across_worker_counts(tmp_path):
     config = tmp_path / "sweep.ini"
     config.write_text("[cluster]\ncoef_rt = 0.9\nbandwidth = 0.5\n"
                       "min_wall_size = 10\n")
-    base = ["sweep", "--kind", "weight", "--input", csv_path,
-            "--config", str(config), "--runs", "1", "--seed", "0"]
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main([*base, "--workers", "1", "--out", str(out1)]) == 0
-    assert main([*base, "--workers", "2", "--out", str(out2)]) == 0
-    assert (out1 / "aggregate.csv").read_bytes() == \
-        (out2 / "aggregate.csv").read_bytes()
-    names = sorted(p.name for p in out1.glob("report_*.json"))
-    assert names == sorted(p.name for p in out2.glob("report_*.json"))
-    assert len(names) == 5  # one per weight grid value
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # two runs, so that --workers 2 starts a pool of two
+    for kind, points in (("weight", 5), ("wall", 15)):
+        base = ["sweep", "--kind", kind, "--input", csv_path,
+                "--config", str(config), "--runs", "2", "--seed", "0"]
+        out1, out2 = tmp_path / f"{kind}1", tmp_path / f"{kind}2"
+        assert main([*base, "--workers", "1", "--out", str(out1)]) == 0
+        assert main([*base, "--workers", "2", "--out", str(out2)]) == 0
+        assert (out1 / "aggregate.csv").read_bytes() == \
+            (out2 / "aggregate.csv").read_bytes()
+        names = sorted(p.name for p in out1.glob("report_*.json"))
+        assert names == sorted(p.name for p in out2.glob("report_*.json"))
+        assert len(names) == 2 * points  # one per run and grid point
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_sweep_aggregate_covers_the_grid(tmp_path):
@@ -416,14 +459,17 @@ def test_sweep_pool_is_clamped_to_the_task_count(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     csv_path = blob_csv(tmp_path / "d.csv")
     base = ["sweep", "--input", csv_path, "--label-fraction", "0.5"]
-    for kind, runs, workers, size in (("weight", 1, 64, 5),
-                                      ("weight", 2, 3, 3),
-                                      ("wall", 1, 20, 15)):
+    # one task per run: the pool never outgrows --runs
+    for kind, runs, workers, size in (("weight", 3, 64, 3),
+                                      ("weight", 3, 2, 2),
+                                      ("wall", 2, 20, 2)):
         assert main([*base, "--kind", kind, "--runs", str(runs), "--workers",
                      str(workers), "--out", str(tmp_path / kind)]) == 0
         assert sizes.pop() == size
-    assert main([*base, "--kind", "weight", "--workers", "1",
-                 "--out", str(tmp_path / "serial")]) == 0
+    for kind, runs, workers in (("weight", 1, 1), ("wall", 1, 4),
+                                ("weight", 3, 1)):
+        assert main([*base, "--kind", kind, "--runs", str(runs), "--workers",
+                     str(workers), "--out", str(tmp_path / "serial")]) == 0
     assert sizes == []
 
 
@@ -438,19 +484,25 @@ def test_sweep_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "o").exists()
 
 
-def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
-    calls = {"ingest_csv": 0, "simulation_preset": 0}
+def count_calls(monkeypatch, module, names):
+    """Wrap each named attribute of module; returns the live call counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        real = getattr(cli, name)
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, cli, ["ingest_csv", "simulation_preset"])
     csv_path = blob_csv(tmp_path / "d.csv")
     for kind in ("weight", "wall"):
         assert main(["sweep", "--kind", kind, "--input", csv_path,
@@ -461,6 +513,62 @@ def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
                  "2", "--out", str(tmp_path / "preset")]) == 0
     assert calls == {"ingest_csv": 4, "simulation_preset": 2}
     assert len(list((tmp_path / "preset").glob("report_*.json"))) == 10
+
+
+def test_sweep_prepares_each_run_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, core, ["compute_rt", "rt_pairs"])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "weight", "--input",
+                 blob_csv(tmp_path / "d.csv"), "--label-fraction", "0.5",
+                 "--runs", "2", "--out", str(out)]) == 0
+    assert len(list(out.glob("report_*.json"))) == 10
+    assert calls == {"compute_rt": 2, "rt_pairs": 2}
+
+
+def test_sweep_fits_each_wall_once_per_run(tmp_path, monkeypatch):
+    fits = []
+    real = core.fit_manhattan_wall
+
+    def counted(stats, alpha, sample_size, seed):
+        fits.append((tuple(seed), stats.member_count, stats.mean.tobytes()))
+        return real(stats, alpha, sample_size=sample_size, seed=seed)
+
+    monkeypatch.setattr(core, "fit_manhattan_wall", counted)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", "weight", "--preset", "sim2", "--wall",
+                 "manhattan", "--runs", "2", "--out", str(out)]) == 0
+    # (run seed, position), member count and mean of every wall written
+    written = []
+    for path in out.glob("report_*.json"):
+        rep = json.loads(path.read_text())
+        written += [((rep["params"]["seed"], pos), wall["member_count"],
+                     np.asarray(wall["mean"]).tobytes())
+                    for pos, wall in enumerate(rep["walls"])]
+    assert sorted(fits) == sorted(set(written))
+    assert len(fits) < len(written)
+
+
+@pytest.mark.parametrize("kind, preset, wall", [
+    ("weight", "sim1", "euclidean"), ("wall", "sim2", "manhattan")])
+def test_sweep_reports_equal_direct_adclust_reports(tmp_path, kind, preset,
+                                                    wall):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", kind, "--preset", preset, "--wall", wall,
+                 "--seed", "3", "--out", str(out)]) == 0
+    dataset, truth, params = simulation_preset(preset, seed=3, wall_kind=wall)
+    grid = ([(k, 0.6) for k in cli.WEIGHT_GRID] if kind == "weight" else
+            [(k, a) for a in cli.WALL_ALPHA_GRID for k in cli.WALL_K_GRID])
+    direct = tmp_path / "direct.json"
+    for k, alpha in grid:
+        result = adclust(dataset, dataclasses.replace(params, k=k,
+                                                      alpha=alpha))
+        command = {"command": "sweep", "kind": kind, "k": k, "alpha": alpha,
+                   "run": 0}
+        dump_json(build_cluster_report(dataset, result, truth, command,
+                                       cluster_metrics(result, truth)),
+                  str(direct))
+        name = f"report_k{k:g}_a{alpha:g}_r0.json"
+        assert direct.read_bytes() == (out / name).read_bytes(), name
 
 
 def test_one_metrics_pass_per_report(tmp_path, monkeypatch):
