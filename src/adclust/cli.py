@@ -41,8 +41,8 @@ WALL_K_GRID = (1.0, 30.0, 50.0)
 _PARAM_FIELDS = {
     "k": float, "alpha": float, "wall_kind": str, "coef_rt": float,
     "coef_dt": float, "target_fraction": float, "seed": int,
-    "bandwidth": float, "log_base": float, "exact_density": bool,
-    "min_wall_size": int, "eta_sample_size": int,
+    "bandwidth": float, "log_base": float, "min_wall_size": int,
+    "eta_sample_size": int,
 }
 # [cluster] keys that cluster also takes as flags; a flag beats the config
 _CLUSTER_FLAGS = ("alpha", "k", "seed", "coef_rt", "coef_dt", "bandwidth",
@@ -72,10 +72,8 @@ def _read_config(path: str | None, section: str, fields: dict) -> dict:
     for key, raw in parser[section].items():
         if key not in fields:
             raise ValidationError(f"unknown config key {key!r} in [{section}]")
-        caster = fields[key]
         try:
-            out[key] = (parser[section].getboolean(key) if caster is bool
-                        else caster(raw))
+            out[key] = fields[key](raw)
         except ValueError:
             raise ValidationError(
                 f"config key {key!r}: cannot parse {raw!r}") from None

@@ -6,7 +6,7 @@ components; a component becomes a cluster when it contains at least one
 point whose centroid statistic reaches dt, otherwise its points stay
 unassigned. This equals running seeded attach-and-merge to a fixpoint,
 and a brute-force transitive closure is the reference oracle for it.
-adclust() builds the closed rt graph once per call (grid.rt_pairs);
+prepare() builds the closed rt graph once per stage (grid.rt_pairs);
 density n(p), the pass-1 conflicts and all four merges read it, a merge
 using the edges with both ends among its participants. Inputs whose
 squared distances overflow raise ValidationError (CLI exit 2).
@@ -253,7 +253,6 @@ class AdclustParams:
     seed: int = 0
     bandwidth: float | None = None
     log_base: float = math.e
-    exact_density: bool = False
     min_wall_size: int = 2
     eta_sample_size: int = 100_000
 
@@ -310,7 +309,6 @@ class Stage:
     thresholds: Thresholds
     profile: DensityProfile
     pairs: Pairs
-    n_p: np.ndarray
     bandwidth: float
     scores: np.ndarray
     uninformative_scores: int
@@ -329,8 +327,7 @@ def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
         raise ValidationError("computed rt is zero: the points are coincident "
                               "or their squared distances underflow")
     pairs = rt_pairs(pts, rt)
-    n_p = compute_density(grid, pts, rt, exact=params.exact_density,
-                          pairs=pairs)
+    n_p = compute_density(grid, pts, rt, pairs=pairs)
     dt, _ = compute_dt(grid, n_p, params.coef_dt, params.log_base)
     b, flags = pipeline_scores(dataset, clf)
     clusters, _ = pass3_global(pts, n_p, dt, rt, pairs)
@@ -338,7 +335,7 @@ def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
                  thresholds=Thresholds(rt=rt, dt=dt),
                  profile=DensityProfile(avg_dist_point=a_p,
                                         density_point=n_p.astype(np.float64)),
-                 pairs=pairs, n_p=n_p, bandwidth=clf.bandwidth, scores=b,
+                 pairs=pairs, bandwidth=clf.bandwidth, scores=b,
                  uninformative_scores=int(flags.sum()), clusters=clusters)
 
 
@@ -354,11 +351,12 @@ def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
     dataset = stage.dataset
     pts = dataset.points
     rt, dt = stage.thresholds.rt, stage.thresholds.dt
-    rho = stage.n_p * weight(stage.scores, k)
+    n_p = stage.profile.density_point
+    rho = n_p * weight(stage.scores, k)
 
     normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
         pts, dataset.labels, rho, dt, rt, stage.pairs)
-    unlabeled_subs, _ = pass2_residual(pts, remaining, stage.n_p, dt, rt,
+    unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt,
                                        stage.pairs)
     comp = match(dataset.n, normal_subs, abnormal_subs, unlabeled_subs,
                  stage.clusters, conflicted)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +142,7 @@ def ingest_csv(path: str, label_column: str = "label",
                 raise ValidationError(
                     f"{path}: non-numeric value {cell!r} at row {rownum}, "
                     f"column {header[i]!r}") from None
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             dropped.append(rownum)
             continue
         if label_idx is not None:

@@ -146,6 +146,15 @@ def _grid_count(step: float) -> int:
     return round(inv)
 
 
+def _joint_stride(config: GameConfig) -> int:
+    if len(config.adversaries) == 1:
+        return 1
+    ratio = config.joint_t_step / config.t_step
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValidationError("joint_t_step must be a multiple of t_step")
+    return round(ratio)
+
+
 @dataclass
 class GameConfig:
     normal: PopulationSpec
@@ -176,6 +185,9 @@ class GameConfig:
             raise ValidationError(f"unknown wall kind {self.wall_kind!r}")
         for step in (self.t_step, self.joint_t_step):
             _grid_count(step)
+        _joint_stride(self)
+        if self.joint_budget < 1:
+            raise ValidationError("joint_budget must be at least 1")
         if _grid_count(self.alpha_step) < 2:
             raise ValidationError("alpha_step must leave at least one wall "
                                   "level in (0, 1)")
@@ -333,14 +345,7 @@ def solve_follower(tables: GameTables) -> Equilibrium:
     """Attackers commit to a joint profile; the defender best-responds."""
     config = tables.config
     m = len(config.adversaries)
-    if m == 1:
-        stride = 1
-    else:
-        ratio = config.joint_t_step / config.t_step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValidationError("joint_t_step must be a multiple of t_step")
-        stride = round(ratio)
-    t_indices = list(range(0, len(tables.ts), stride))
+    t_indices = list(range(0, len(tables.ts), _joint_stride(config)))
     if tables.ts[t_indices[-1]] != 1.0:
         t_indices.append(len(tables.ts) - 1)
     if len(t_indices) ** m > config.joint_budget:

@@ -31,9 +31,9 @@ in dimension order, float64 throughout (_sq_distances, the package's only
 squared distance; kernel.py and the game's movement cost use it too).
 _sq_distance_blocks yields many-to-many blocks in chunks of the one
 _BLOCK_ELEMENTS budget. rt_pairs is the one closed rt-pair kernel (a
-pair at exactly rt connects). adclust() builds this graph once per call;
-density, pass-1 conflicts and every merge read it, a merge using the
-edges with both ends among its participants. Distances that overflow,
+pair at exactly rt connects). core.prepare() builds this graph once per
+stage; density, pass-1 conflicts and every merge read it, a merge using
+the edges with both ends among its participants. Distances that overflow,
 or distinct points whose distances all underflow to zero, raise
 ValidationError (CLI exit 2).
 """
@@ -366,20 +366,18 @@ def rt_pairs(points: np.ndarray, rt: float) -> Pairs:
 
 
 def compute_density(grid: Grid, points: np.ndarray, rt: float,
-                    exact: bool = False, pairs: Pairs | None = None) -> np.ndarray:
+                    pairs: Pairs | None = None) -> np.ndarray:
     """Point density n(p): neighborhood points within rt of p, p included.
 
     Counts p's partners in pairs (default rt_pairs(points, rt)) in cells
-    within Chebyshev distance 1 of its own. The neighborhood restriction
-    undercounts when rt exceeds the cell side; exact=True counts every
-    partner instead (validation fallback).
+    within Chebyshev distance 1 of its own, so it undercounts when rt
+    exceeds the cell side.
     """
     _check_points(grid, points)
     i, j = rt_pairs(points, rt) if pairs is None else pairs
-    if not exact:
-        cells = grid.cell_of_point
-        near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
-        i, j = i[near], j[near]
+    cells = grid.cell_of_point
+    near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
+    i, j = i[near], j[near]
     n = points.shape[0]
     return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
 

@@ -130,7 +130,6 @@ def build_cluster_report(dataset: Dataset, result: ClusteringResult,
             "coef_rt": p.coef_rt, "coef_dt": p.coef_dt,
             "target_fraction": p.target_fraction, "seed": p.seed,
             "bandwidth": result.bandwidth, "log_base": p.log_base,
-            "exact_density": p.exact_density,
             "min_wall_size": p.min_wall_size,
         },
         "thresholds": {"rt": result.thresholds.rt, "dt": result.thresholds.dt},

@@ -201,7 +201,7 @@ def test_every_three_adversary_cell_matches_direct_evaluation_bitwise(
         wall_kind):
     config = dataclasses.replace(
         game_preset("three_adv_log", wall_kind=wall_kind, sample_size=200),
-        alpha_step=0.02, t_step=0.1)
+        alpha_step=0.02, t_step=0.1, joint_t_step=0.1)
     tables = build_tables(config)
     # each adversary has cells where nothing, part and everything passes,
     # all three in one row
@@ -541,6 +541,18 @@ def test_config_validation():
         PopulationSpec(mean=(0.0,), cov=((1.0,),), sample_size=1)
     with pytest.raises(ValidationError):
         solve_game(small_config(sample_size=50), "middle")
+
+
+def test_config_checks_its_lattice():
+    config = game_preset("three_adv_log", sample_size=50)
+    with pytest.raises(ValidationError, match="multiple of t_step"):
+        dataclasses.replace(config, t_step=0.05, joint_t_step=0.02)
+    for budget in (0, -1):
+        with pytest.raises(ValidationError, match="joint_budget"):
+            dataclasses.replace(config, joint_budget=budget)
+    # one adversary never walks the joint lattice
+    single = game_preset("one_adv_log", sample_size=50)
+    dataclasses.replace(single, t_step=0.05, joint_t_step=0.02)
 
 
 def test_config_checks_its_populations():

@@ -259,27 +259,18 @@ def test_all_points_isolated_raises():
 
 def test_neighbor_restriction_undercounts():
     # two tight blobs two cells apart: rt spans the gap but the
-    # neighborhood does not
+    # neighborhood does not, so n(p) counts p's own blob only
     left = np.linspace(0.0, 0.5, 8)[:, None]
     right = np.linspace(9.5, 10.0, 8)[:, None]
     pts = np.vstack([left, right])
     grid = build_grid(pts, target_fraction=0.25)
-    restricted = compute_density(grid, pts, rt=20.0)
-    exact = compute_density(grid, pts, rt=20.0, exact=True)
-    assert (exact == 16).all()
-    assert (restricted <= exact).all()
-    assert (restricted < exact).any()
-
-
-def test_density_exact_matches_brute_force():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(50, 3))
-    grid = build_grid(pts)
-    rt = 0.8
-    n_p = compute_density(grid, pts, rt, exact=True)
-    for p in range(50):
-        d = np.sqrt(((pts - pts[p]) ** 2).sum(axis=1))
-        assert n_p[p] == (d <= rt).sum()
+    rt = 20.0
+    restricted = compute_density(grid, pts, rt)
+    every = np.array([(np.sqrt(((pts - p) ** 2).sum(axis=1)) <= rt).sum()
+                      for p in pts])
+    assert (every == 16).all()
+    assert (restricted == 8).all()
+    assert (restricted < every).all()
 
 
 def test_validation_errors():

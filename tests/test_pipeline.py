@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from adclust.cli import WALL_ALPHA_GRID, WALL_K_GRID
 from adclust.core import (REGION_ABNORMAL, REGION_MIXED, REGION_NORMAL_CORE,
                           REGION_OUTLIER, REGION_UNKNOWN, AdclustParams,
-                          SubCluster, adclust, match, pass1_labeled,
-                          pass2_residual)
+                          SubCluster, adclust, finish, match, pass1_labeled,
+                          pass2_residual, prepare)
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
 from adclust.grid import rt_pairs
@@ -294,6 +296,56 @@ def test_adclust_builds_the_rt_graph_once(monkeypatch):
     ds, _, params = simulation_preset("sim1", seed=0)
     result = adclust(ds, params)
     assert calls == [result.thresholds.rt]
+
+
+def sim2_wall_sweep():
+    dataset, _, params = simulation_preset("sim2", seed=3,
+                                           wall_kind="manhattan")
+    return dataset, params, [(k, a) for a in WALL_ALPHA_GRID
+                             for k in WALL_K_GRID]
+
+
+def normal_regions_move_with_k():
+    # a sparse normal blob (ids first) seeds regions only from k = 0.3 on,
+    # so the wall at position 0 has other members at k = 0.1
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.normal((0.0, 0.0), 0.8, size=(40, 2)),
+                     rng.normal((6.0, 0.0), 0.3, size=(80, 2)),
+                     rng.normal((3.0, 6.0), 0.4, size=(60, 2))])
+    labels = np.full(180, -1, dtype=np.int8)
+    labels[[0, 1, 40, 41]] = 1
+    labels[120:124] = 0
+    params = AdclustParams(wall_kind="manhattan", coef_rt=0.9, bandwidth=0.5)
+    return Dataset(pts, labels), params, [(k, a) for a in (0.6, 0.9)
+                                          for k in (0.1, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("case", [sim2_wall_sweep, normal_regions_move_with_k])
+def test_finish_in_any_order_equals_a_fresh_adclust(case):
+    # one stage finished at its grid points shuffled and repeated: a wall
+    # cached under a wrong (member ids, position, alpha) key shows
+    dataset, params, grid = case()
+    stage = prepare(dataset, params)
+    fresh = {}
+    walls_returned = 0
+    order = np.random.default_rng(0).permutation(2 * len(grid)) % len(grid)
+    for k, alpha in (grid[i] for i in order):
+        got = finish(stage, k, alpha)
+        walls_returned += len(got.walls)
+        if (k, alpha) not in fresh:
+            fresh[k, alpha] = adclust(dataset, replace(params, k=k,
+                                                       alpha=alpha))
+        want = fresh[k, alpha]
+        for name in ("region", "cluster_of_point", "sub_cluster_of"):
+            assert (getattr(got.composition, name).tobytes()
+                    == getattr(want.composition, name).tobytes())
+        assert got.protected.tobytes() == want.protected.tobytes()
+        assert len(got.walls) == len(want.walls) > 0
+        for a, b in zip(got.walls, want.walls):
+            assert (a.level, a.radius) == (b.level, b.radius)
+            assert a.stats.mean.tobytes() == b.stats.mean.tobytes()
+            assert a.stats.covariance.tobytes() == b.stats.covariance.tobytes()
+    assert len(stage.walls) < walls_returned
 
 
 def test_full_run_is_reproducible():

@@ -217,8 +217,8 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
             run_cluster(csv_path, tmp_path / "o10",
                         (flag, value, "--label-fraction", "0.5")), word)
     for section, line, word in (("cluster", "log_base = nan", "log_base"),
-                                ("cluster", "exact_density = maybe",
-                                 "exact_density"),
+                                ("cluster", "min_wall_size = maybe",
+                                 "cannot parse"),
                                 ("game", "cost_c = nan", "cost_c")):
         config = tmp_path / f"{section}.ini"
         config.write_text(f"[{section}]\n{line}\n")
@@ -361,17 +361,36 @@ def test_game_cli_config_section(tmp_path):
     assert report["config"]["cost_c"] == 5.0
 
 
-# alpha_step = 1.0 divides [0, 1] but leaves no wall level inside it
+# alpha_step = 1.0 divides [0, 1] but leaves no wall level inside it;
+# joint_t_step = 0.125 is a valid step but no multiple of t_step = 0.01,
+# which only the follower's joint lattice would otherwise notice
 @pytest.mark.parametrize("line", ["cost_c = -5", "alpha_step = 0",
-                                  "alpha_step = 1.0"])
+                                  "alpha_step = 1.0", "joint_t_step = 0.125",
+                                  "joint_budget = 0"])
 def test_game_cli_validates_config_values(tmp_path, capsys, line):
     config = tmp_path / "g.ini"
     config.write_text(f"[game]\nsample_size = 50\n{line}\n")
-    assert main(["game", "--preset", "one_adv_log", "--orientation",
+    assert main(["game", "--preset", "three_adv_log", "--orientation",
                  "leader", "--config", str(config),
                  "--out", str(tmp_path / "g")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_removed_exact_density_key_exits_two_before_any_work(tmp_path, capsys,
+                                                             command):
+    config = tmp_path / "c.ini"
+    config.write_text("[cluster]\nexact_density = true\n")
+    source = {"cluster": ["--input", blob_csv(tmp_path / "d.csv")],
+              "sweep": ["--kind", "weight", "--preset", "sim1"]}[command]
+    assert main([command, *source, "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown config key 'exact_density'" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "sweep"])
