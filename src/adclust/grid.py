@@ -17,14 +17,26 @@ certificate to running sums, giving the sum of any prefix of a row
 (the game's attacker tables use it). Both read inf for a sum past the
 largest float, its correct rounding, where math.fsum raises.
 
+compute_rt computes the distance block of each unordered pair of
+neighboring cells once (_pair_row_sums): its row sums feed a(p) for the
+points of one cell, its column sums those of the other. That needs a
+split fixed before any distance is computed: each cell's sigma comes
+from a bound on its distances to its neighborhood, taken from member
+bounding boxes (_pair_sigmas), and a shared block splits at the larger
+of its two cells' sigmas. The highs then sum exactly across blocks, and
+each point's sum is certified once, by the same _certify. Cells with
+fewer than _SPLIT_ELEMENTS members x neighborhood points, where a split
+does not pay, sum their own rows as before.
+
 build_grid sorts the points by cell key once (a stable np.lexsort) and
 numbers the occupied cells in sorted key order: Grid.keys holds one key
 row per cell, Grid.order the point ids sorted by key (ids ascending
 within a cell) and Grid.starts each cell's offset into order. Every
 per-cell result (neighborhoods, the d(c) and n(c) arrays) follows that
 numbering. A cell's 3^q neighborhood is the set of occupied cells within
-Chebyshev distance 1 of it, itself included. Only occupied cells are
-visited, so the cost scales with occupied-cell pairs, not with 3^q.
+Chebyshev distance 1 of it, itself included; one KD-tree search over the
+occupied keys finds them all (_near_cells), so the cost scales with
+occupied-cell pairs, not with 3^q.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
 in dimension order, float64 throughout (_sq_distances, the package's only
@@ -67,8 +79,9 @@ class Grid:
     in sorted key order.
 
     sections: m, the section count per dimension (same for every
-    dimension). Dimensions with zero width collapse to section 0; they
-    never restrict a neighborhood. cell_of_point, (N, q) int64, holds
+    dimension); widths, (q,), the section width per dimension, the one
+    each key divides by. Dimensions with zero width collapse to section
+    0; they never restrict a neighborhood. cell_of_point, (N, q) int64, holds
     each point's key; keys, (C, q) int64, one row per occupied cell,
     strictly increasing in lexicographic order, the one cell order every
     per-cell array follows. Cell c holds the ids order[starts[c]:
@@ -76,6 +89,7 @@ class Grid:
     """
 
     sections: int
+    widths: np.ndarray
     cell_of_point: np.ndarray
     keys: np.ndarray
     order: np.ndarray
@@ -222,11 +236,110 @@ def _exact_prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return total
 
 
+def _pair_sigmas(points: np.ndarray, grid: Grid, near: np.ndarray,
+                 bounds: np.ndarray, width: np.ndarray, big: np.ndarray):
+    """The sigma of each cell of big, the cells on the pair path; 0
+    elsewhere.
+
+    Cell c splits its distances at sigma_c = 2^(e + m), with 2^m >=
+    width[c] + 2 and 2^e above the documented distance of the
+    per-dimension extents max(hi_nb - lo_c, hi_c - lo_nb) of the member
+    bounding boxes of c and of its neighborhood. Every rounded step of a
+    distance is monotone in the coordinate gaps, so that bounds every
+    computed distance from c to its neighborhood, with no slack. That
+    bound is below 2^512 (_check_extent keeps the squared diagonal
+    finite), so sigma_c stays far below 2^1023.
+    """
+    ranked = points[grid.order]
+    starts = grid.starts[:-1]
+    lo = np.minimum.reduceat(ranked, starts)
+    hi = np.maximum.reduceat(ranked, starts)
+    ext = np.maximum(np.maximum.reduceat(hi[near], bounds[:-1]) - lo,
+                     hi - np.minimum.reduceat(lo[near], bounds[:-1]))[big]
+    reach = np.sqrt(_sq_distances(ext.T, np.zeros((ext.shape[1], 1))))
+    exp = np.frexp(reach)[1] + np.frexp(width[big] + 1.0)[1]
+    sigma = np.zeros(big.size)
+    sigma[big] = np.ldexp(1.0, exp)
+    return sigma
+
+
+def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
+                   bounds: np.ndarray, width: np.ndarray, big: np.ndarray):
+    """Indexed by point id, the correctly rounded sum of the distances of
+    each point of the cells of big to its neighborhood, bitwise
+    math.fsum; other entries are undefined.
+
+    Each unordered pair (c, c') of neighboring cells on the pair path
+    has its distance block computed once and split once, at s =
+    max(sigma_c, sigma_c') (_pair_sigmas; a block no other cell shares
+    splits at sigma_c): its row sums feed the points of c, its column
+    sums those of c'. Sigmas are powers of two, so every high of the
+    row of a point of c is a multiple of 2 u sigma_c. A high is at most
+    twice its value (it is 0 below u s and within u s of it above), so
+    with sigma_c = 2^(e + m) the w highs of a row sum to under
+    2 w 2^e < 2 sigma_c, and every partial sum of them is exact however
+    s grows: they sum exactly to t1 across blocks. The w lows, each at
+    most u s_max with s_max the largest s of the point's blocks, sum in
+    float to within 2 w^2 u^2 s_max of t2 in any order, the bound of
+    _exact_row_sums with s_max for sigma. This is fixed-boundary
+    pre-rounding (Demmel & Nguyen, "Parallel reproducible summation",
+    IEEE TC 2015; the a priori sigma of Rump, Ogita & Oishi's AccSum).
+    A point keeps fl(t1 + t2) where _certify proves it correctly
+    rounded; every other point recomputes its row for math.fsum.
+    """
+    sigma = _pair_sigmas(points, grid, near, bounds, width, big)
+    cols = np.ascontiguousarray(points.T)
+    members = _members(grid)
+    sizes = np.diff(grid.starts)
+    t1 = np.zeros(points.shape[0])
+    t2 = np.zeros(points.shape[0])
+    cells = np.flatnonzero(big)
+    for c in cells.tolist():
+        nb = near[bounds[c]:bounds[c + 1]]
+        theirs = nb[(nb > c) & big[nb]]  # blocks shared with c'
+        nb = np.concatenate((nb[(nb == c) | ~big[nb]], theirs))
+        ids = _hood(members, nb)
+        split = ids.size - sizes[theirs].sum()
+        s = np.repeat(np.maximum(sigma[nb], sigma[c]), sizes[nb])
+        mine = members[c]
+        row1, row2 = np.empty(mine.size), np.empty(mine.size)
+        col1, col2 = np.zeros(ids.size - split), np.zeros(ids.size - split)
+        for lo, x in _sq_distance_blocks(cols[:, mine], cols[:, ids]):
+            x = np.sqrt(x, out=x)
+            high = x + s
+            high -= s
+            low = np.subtract(x, high, out=x)
+            high.sum(axis=1, out=row1[lo:lo + x.shape[0]])
+            low.sum(axis=1, out=row2[lo:lo + x.shape[0]])
+            col1 += high[:, split:].sum(axis=0)
+            col2 += low[:, split:].sum(axis=0)
+        t1[mine] += row1
+        t2[mine] += row2
+        t1[ids[split:]] += col1
+        t2[ids[split:]] += col2
+    s_max = np.maximum.reduceat(sigma[near], bounds[:-1])[cells]
+    ids = _hood(members, cells)
+    w = np.repeat(width[cells], sizes[cells]).astype(np.float64)
+    total, certified = _certify(
+        t1[ids], t2[ids],
+        np.repeat(s_max, sizes[cells]) * (4.0 * w * w * 2.0 ** -106))
+    cell_of = np.repeat(cells, sizes[cells])
+    for i in np.flatnonzero(~certified).tolist():
+        c = cell_of[i]
+        hood = _hood(members, near[bounds[c]:bounds[c + 1]])
+        row = np.sqrt(_sq_distances(cols[:, ids[i], None], cols[:, hood]))
+        total[i] = _fsum(row.tolist())
+    sums = np.empty(points.shape[0])
+    sums[ids] = total
+    return sums
+
+
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared differences summed in dimension order; a and b hold one
     coordinate per row and broadcast along their remaining axes."""
-    total = np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    for x, y in zip(a, b):
+    total = a[0] - b[0]
+    total *= total  # the first sum, 0 + total, is total itself
+    for x, y in zip(a[1:], b[1:]):
         sq = x - y
         sq *= sq
         total += sq
@@ -290,26 +403,30 @@ def build_grid(points: np.ndarray, target_fraction: float = 0.075) -> Grid:
     ranked = idx[order]
     new_key = (ranked[1:] != ranked[:-1]).any(axis=1)
     starts = np.flatnonzero(np.r_[True, new_key, True])
-    return Grid(sections=m, cell_of_point=idx, keys=ranked[starts[:-1]],
-                order=order, starts=starts)
+    return Grid(sections=m, widths=widths, cell_of_point=idx,
+                keys=ranked[starts[:-1]], order=order, starts=starts)
 
 
-def _neighborhoods(grid: Grid) -> list[np.ndarray]:
-    """Per cell, in cell order, the ids of the points in the occupied
-    cells within Chebyshev distance 1 of it, its own included.
+def _near_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(near, bounds): cell c's neighbors, the occupied cells within
+    Chebyshev distance 1 of it, its own included, are near[bounds[c]:
+    bounds[c + 1]], in cell order.
 
-    Only occupied cells are visited: a KD-tree over the integer keys
-    finds every cell pair at Chebyshev distance <= 1, which is exact on
-    integers. Each neighborhood lists its cells in cell order.
+    Only occupied cells are visited: one KD-tree search over the integer
+    keys finds every cell pair at Chebyshev distance <= 1, which is
+    exact on integers.
     """
     tree = cKDTree(grid.keys)
     i, j = tree.query_pairs(1.0, p=np.inf, output_type="ndarray").T
     own = np.arange(tree.n)
-    rows, cols = np.r_[own, i, j], np.r_[own, j, i]
-    cols = cols[np.lexsort((cols, rows))]
-    near = np.split(cols, np.cumsum(np.bincount(rows))[:-1])
-    members = _members(grid)
-    return [np.concatenate([members[c] for c in nb.tolist()]) for nb in near]
+    rows, near = np.concatenate((own, i, j)), np.concatenate((own, j, i))
+    near = near[np.lexsort((near, rows))]
+    return near, np.concatenate(([0], np.cumsum(np.bincount(rows))))
+
+
+def _hood(members: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """The point ids of the given cells, in that order."""
+    return np.concatenate([members[c] for c in cells.tolist()])
 
 
 def compute_rt(grid: Grid, points: np.ndarray,
@@ -322,24 +439,42 @@ def compute_rt(grid: Grid, points: np.ndarray,
     cell's points, NaN where no point has an a(p); the outer mean skips
     those cells. All points isolated in their neighborhoods is an error,
     raised before any distance work.
+
+    Cells of at least _SPLIT_ELEMENTS members x neighborhood points
+    compute one distance block per neighboring cell pair, at a sigma
+    fixed before any distance (_pair_row_sums). Smaller cells, where a
+    split would not pay, sum their own rows, block by block, with
+    _exact_row_sums.
     """
     if not 0.0 < coef_rt < math.inf:
         raise ValidationError("coef_rt must be positive and finite")
     _check_points(grid, points)
     n, q = points.shape
-    hoods = _neighborhoods(grid)
-    if all(nb.size == 1 for nb in hoods):
+    near, bounds = _near_cells(grid)
+    sizes = np.diff(grid.starts)
+    width = np.add.reduceat(sizes[near], bounds[:-1])
+    if (width == 1).all():
         raise DegenerateGeometryError("degenerate density geometry")
+    paired = sizes * width >= _SPLIT_ELEMENTS
+    if paired.any():
+        sums = _pair_row_sums(points, grid, near, bounds, width, paired)
     cols = np.ascontiguousarray(points.T)
+    members = _members(grid)
     a_p = np.full(n, np.nan)
-    d_c = np.full(len(hoods), np.nan)
-    for c, (members, nb) in enumerate(zip(_members(grid), hoods)):
-        if nb.size == 1:
+    d_c = np.full(sizes.size, np.nan)
+    for c, (mine, a, b, w, pair) in enumerate(zip(
+            members, bounds.tolist(), bounds[1:].tolist(), width.tolist(),
+            paired.tolist())):
+        if w == 1:
             continue
-        for lo, sq in _sq_distance_blocks(cols[:, members], cols[:, nb]):
-            rows = members[lo:lo + sq.shape[0]]
-            a_p[rows] = _exact_row_sums(np.sqrt(sq)) / (nb.size - 1)
-        d_c[c] = _fmean(a_p[members].tolist())
+        if pair:
+            a_p[mine] = sums[mine] / (w - 1)
+        else:
+            hood = cols[:, _hood(members, near[a:b])]
+            for lo, sq in _sq_distance_blocks(cols[:, mine], hood):
+                rows = mine[lo:lo + sq.shape[0]]
+                a_p[rows] = _exact_row_sums(np.sqrt(sq)) / (w - 1)
+        d_c[c] = _fmean(a_p[mine].tolist())
     rt = _fmean(d_c[~np.isnan(d_c)].tolist()) / (q * coef_rt)
     return rt, a_p, d_c
 
@@ -372,12 +507,21 @@ def compute_density(grid: Grid, points: np.ndarray, rt: float,
     Counts p's partners in pairs (default rt_pairs(points, rt)) in cells
     within Chebyshev distance 1 of its own, so it undercounts when rt
     exceeds the cell side.
+
+    Keys floor(fl(fl(x - min) / width)) are monotone in x. Where rt is
+    below every nondegenerate section width by 4 (m + 1) eps of it,
+    about twice what the roundings of the distance, of the keys and of
+    this test can take up, no pair within rt spans two sections: every
+    pair is already in neighboring cells, and the filter is skipped.
     """
     _check_points(grid, points)
     i, j = rt_pairs(points, rt) if pairs is None else pairs
-    cells = grid.cell_of_point
-    near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
-    i, j = i[near], j[near]
+    narrowest = grid.widths[grid.widths > 0].min(initial=math.inf)
+    eps = np.finfo(np.float64).eps
+    if not rt < narrowest * (1.0 - 4 * (grid.sections + 1) * eps):
+        cells = grid.cell_of_point
+        near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
+        i, j = i[near], j[near]
     n = points.shape[0]
     return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
 

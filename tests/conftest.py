@@ -51,6 +51,7 @@ def oracle_thresholds(points: np.ndarray, coef_rt: float, coef_dt: float,
     """
     n, q = points.shape
     keys, m = oracle_grid_cells(points, target_fraction)
+    points = points.tolist()  # Python floats: the same IEEE arithmetic
     cells: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
@@ -67,11 +68,19 @@ def oracle_thresholds(points: np.ndarray, coef_rt: float, coef_dt: float,
     for key in sorted(cells):
         vals = []
         nb = neighborhood(key)
+        # coincident points of one cell see one multiset of distances
+        # (dropping p drops one zero), so they share a(p) and n(p)
+        same: dict[tuple, int] = {}
         for p in cells[key]:
-            dists = [oracle_distance(points[p], points[o])
-                     for o in nb if o != p]
-            if dists:
-                a_p[p] = math.fsum(dists) / len(dists)
+            twin = same.setdefault(tuple(points[p]), p)
+            if twin != p:
+                a_p[p] = a_p[twin]
+            else:
+                dists = [oracle_distance(points[p], points[o])
+                         for o in nb if o != p]
+                if dists:
+                    a_p[p] = math.fsum(dists) / len(dists)
+            if not math.isnan(a_p[p]):
                 vals.append(a_p[p])
         if vals:
             d_c[key] = math.fsum(vals) / len(vals)
@@ -82,9 +91,11 @@ def oracle_thresholds(points: np.ndarray, coef_rt: float, coef_dt: float,
     n_p = [0] * n
     for key in sorted(cells):
         nb = neighborhood(key)
+        same = {}
         for p in cells[key]:
-            n_p[p] = sum(1 for o in nb
-                         if oracle_distance(points[p], points[o]) <= rt)
+            twin = same.setdefault(tuple(points[p]), p)
+            n_p[p] = n_p[twin] if twin != p else sum(
+                1 for o in nb if oracle_distance(points[p], points[o]) <= rt)
 
     n_c: dict[tuple, float] = {}
     for key in sorted(cells):

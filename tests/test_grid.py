@@ -11,7 +11,7 @@ from conftest import oracle_grid_cells, oracle_thresholds
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
 from adclust.grid import (_SPLIT_ELEMENTS, _exact_prefix_sums,
-                          _exact_row_sums, _neighborhoods, build_grid,
+                          _exact_row_sums, _near_cells, build_grid,
                           compute_density, compute_dt, compute_rt)
 from adclust.walls import sample_gaussian
 
@@ -31,6 +31,15 @@ def duplicate_heavy():
     """200 Gaussian rows and 300 copies of one point among them."""
     rng = np.random.default_rng(12)
     return np.vstack([rng.normal(size=(200, 2)), np.full((300, 2), 0.25)])
+
+
+def neighborhoods(grid):
+    """Per cell, the point ids of its occupied neighbor cells, in cell
+    order."""
+    members = list(grid.cells.values())
+    near, bounds = _near_cells(grid)
+    return [np.concatenate([members[c] for c in near[a:b]])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def assert_cell_means(grid, d_c, n_c, o_dc, o_nc):
@@ -159,7 +168,7 @@ def test_occupied_neighborhoods_match_brute_force():
             pts[:, rng.integers(0, q)] = 2.5  # degenerate dimension
         grid = build_grid(pts, float(rng.choice([0.075, 0.25, 0.5])))
         keys = list(grid.cells)
-        hoods = _neighborhoods(grid)
+        hoods = neighborhoods(grid)
         assert len(hoods) == len(keys)
         for key, ids in zip(keys, hoods):
             near = [k for k in keys
@@ -188,7 +197,7 @@ def test_high_q_isolated_points_fail_fast(q):
     # neighborhood, which has up to 3^q cells
     pts = np.random.default_rng(q).uniform(size=(300, q))
     grid = build_grid(pts)
-    hoods = _neighborhoods(grid)
+    hoods = neighborhoods(grid)
     assert len(hoods) == 300
     assert all(ids.size == 1 for ids in hoods)
     with pytest.raises(DegenerateGeometryError, match="degenerate"):
@@ -271,6 +280,28 @@ def test_neighbor_restriction_undercounts():
     assert (every == 16).all()
     assert (restricted == 8).all()
     assert (restricted < every).all()
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_density_filter_where_rt_reaches_a_section_width(above):
+    # sections of width 1 on [0, 10]; 3 - 2^-51 (key 2) and 4 (key 4)
+    # lie 1 + 2^-51 apart. rt just below the width needs no filter, and
+    # rt at that distance, just above the width, must drop the pair.
+    rng = np.random.default_rng(14)
+    pts = np.r_[0.0, 10.0, 3.0 - 2.0 ** -51, 4.0,
+                rng.uniform(0.0, 10.0, 200)][:, None]
+    grid = build_grid(pts, target_fraction=0.1)
+    assert grid.widths.tolist() == [1.0]
+    rt = 1.0 + 2.0 ** -51 if above else 1.0 - 2.0 ** -40
+    dist = np.abs(pts - pts.T)
+    keys = grid.cell_of_point[:, 0]
+    near = np.abs(keys[:, None] - keys[None, :]) <= 1
+    every = (dist <= rt).sum(axis=1)
+    restricted = ((dist <= rt) & near).sum(axis=1)
+    np.testing.assert_array_equal(compute_density(grid, pts, rt), restricted)
+    crossing = (dist <= rt) & (keys[:, None] != keys[None, :])
+    assert crossing.any()
+    assert (restricted < every).any() == above
 
 
 def test_validation_errors():
@@ -636,29 +667,128 @@ def test_exact_prefix_sums_huge_rows_go_to_fsum(monkeypatch):
     assert fallbacks == 2 * ends.shape[1]
 
 
-def test_compute_rt_blocks_certify_on_a_q2_mixture(monkeypatch):
+def q2_mixture(scale=1.0):
+    """Four Gaussian blobs in 2-d, 5000 points at scale 1, as the
+    cluster_q2 benchmark input lays them out."""
     cov = 0.4 * np.eye(2)
-    points = np.vstack([
-        sample_gaussian(np.array(mean), cov, size, seed)
+    return np.vstack([
+        sample_gaussian(np.array(mean), cov, round(size * scale), seed)
         for seed, (mean, size) in enumerate([((0.5, -1.0), 1500),
                                              ((1.0, -1.0), 1500),
                                              ((1.0, 1.0), 1500),
                                              ((4.5, 4.5), 500)])])
-    seen = {"values": 0, "split": 0, "fallbacks": 0}
 
-    def counting(block, row_sums=_exact_row_sums):
-        seen["values"] += block.size
-        if block.size < G:
-            return row_sums(block)
-        sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
-        seen["split"] += block.size
-        seen["fallbacks"] += fallbacks
+
+def rt_on_pair_path(points, monkeypatch, coef_rt=1.0, target_fraction=0.075):
+    """compute_rt's (rt, a(p), d(c)), the shares of points and of
+    distance values (members x neighborhood) on the pair path, and how
+    many of the pair path's sums went to math.fsum."""
+    seen = {}
+
+    def recording(*args, pair_row_sums=grid_module._pair_row_sums):
+        sums, seen["fallbacks"] = sums_and_fallbacks(pair_row_sums,
+                                                     monkeypatch, *args)
+        seen["paired"] = args[-1]
         return sums
 
-    monkeypatch.setattr(grid_module, "_exact_row_sums", counting)
-    compute_rt(build_grid(points), points, coef_rt=2.0)
-    assert seen["split"] > 0.99 * seen["values"]
-    assert seen["fallbacks"] == 0
+    grid = build_grid(points, target_fraction)
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_pair_row_sums", recording)
+        out = compute_rt(grid, points, coef_rt)
+    sizes = np.diff(grid.starts)
+    values = sizes * np.array([h.size for h in neighborhoods(grid)])
+    paired = seen["paired"]
+    return (out, (sizes[paired].sum() / sizes.sum(),
+                  values[paired].sum() / values.sum()), seen["fallbacks"])
+
+
+def assert_rt_matches_oracle(points, rt, a_p, d_c, target_fraction=0.075):
+    o_rt, o_ap, o_dc, *_ = oracle_thresholds(points, 1.0, 0.95,
+                                             target_fraction=target_fraction)
+    assert rt == o_rt
+    assert_bitwise(a_p, o_ap)
+    assert_bitwise(d_c[~np.isnan(d_c)], np.array(list(o_dc.values())))
+
+
+def test_compute_rt_pairs_certify_on_a_q2_mixture(monkeypatch):
+    points = q2_mixture()
+    _, (points_share, values_share), fallbacks = rt_on_pair_path(
+        points, monkeypatch, coef_rt=2.0)
+    # the points left are in sparse cells at the blobs' edges
+    assert points_share > 0.98 and values_share > 0.99
+    assert fallbacks == 0
+
+
+def test_pair_path_permutation_invariance_on_a_q2_mixture(monkeypatch):
+    points = q2_mixture(0.4)
+    (rt, a_p, d_c), (share, _), _ = rt_on_pair_path(points, monkeypatch)
+    assert len(points) == 2000 and share > 0.9
+    assert_rt_matches_oracle(points, rt, a_p, d_c)
+    assert_permutation_invariant(points, np.random.default_rng(13))
+
+
+def clumps_among_uniform():
+    """Two 200-point clumps of spread 1e-9, 0.07 apart, among 1500
+    uniform points."""
+    rng = np.random.default_rng(21)
+    return np.vstack([rng.uniform(size=(1500, 2)),
+                      0.4 + 1e-9 * rng.normal(size=(200, 2)),
+                      [0.47, 0.4] + 1e-9 * rng.normal(size=(200, 2))])
+
+
+def clump_beside_a_spread_cell():
+    """Two 40-point clumps a few ulps either side of the section edge at
+    5 (width 1): the left one's neighborhood is the two clumps, the
+    right one's also holds a spread cell, so the blocks they share
+    split at 2^44 times the left one's own sigma."""
+    step = 2.0 ** -50  # the float spacing in [4, 8)
+    return np.r_[0.0, 5.0 - step * np.arange(1, 41),
+                 5.0 + step * np.arange(40), np.linspace(6.0, 6.99, 20),
+                 10.0][:, None]
+
+
+@pytest.mark.parametrize("points, target_fraction, min_share", [
+    (clumps_among_uniform(), 0.075, 0.3),
+    (np.vstack([np.full((3000, 2), 0.25),
+                np.random.default_rng(22).normal(size=(300, 2))]), 0.075,
+     0.9),
+    (np.random.default_rng(23).normal(size=(1000, 2)) * 1e150, 0.075, 0.7),
+    (np.random.default_rng(23).normal(size=(1000, 2)) * 1e-150, 0.075, 0.7),
+    (clump_beside_a_spread_cell(), 0.1, 0.95)],
+    ids=["clumps", "duplicates", "scale_1e150", "scale_1e-150",
+         "clump_beside_spread"])
+def test_pair_path_matches_oracle(points, target_fraction, min_share,
+                                  monkeypatch):
+    (rt, a_p, d_c), (share, _), _ = rt_on_pair_path(
+        points, monkeypatch, target_fraction=target_fraction)
+    assert share >= min_share
+    assert_rt_matches_oracle(points, rt, a_p, d_c, target_fraction)
+
+
+def test_pair_path_clump_beside_a_spread_cell_goes_to_fsum(monkeypatch):
+    # the left clump's highs stay exact, but the lows' bound at the
+    # shared blocks' sigma is too wide to certify its 40 sums
+    points = clump_beside_a_spread_cell()
+    _, _, fallbacks = rt_on_pair_path(points, monkeypatch,
+                                      target_fraction=0.1)
+    assert fallbacks == 40
+
+
+def test_pair_path_uncertified_points_go_to_fsum(monkeypatch):
+    points = q2_mixture(0.4)
+
+    def uncertifying(t1, t2, bound, certify=grid_module._certify):
+        bound = np.array(bound, dtype=np.float64)
+        bound[::2] = np.inf
+        return certify(t1, t2, bound)
+
+    _, (share, _), natural = rt_on_pair_path(points, monkeypatch)
+    forced = -(-round(share * len(points)) // 2)
+    monkeypatch.setattr(grid_module, "_certify", uncertifying)
+    (rt, a_p, d_c), _, fallbacks = rt_on_pair_path(points, monkeypatch)
+    # every other sum is forced; the few the bound leaves may overlap them
+    assert forced <= fallbacks <= forced + natural
+    assert_rt_matches_oracle(points, rt, a_p, d_c)
 
 
 @pytest.mark.parametrize("points, target_fraction", [
@@ -666,7 +796,7 @@ def test_compute_rt_blocks_certify_on_a_q2_mixture(monkeypatch):
     ids=["lattice_q3", "duplicates"])
 def test_wide_neighborhoods_match_oracle(points, target_fraction):
     grid = build_grid(points, target_fraction)
-    hoods = _neighborhoods(grid)
+    hoods = neighborhoods(grid)
     assert max(m.size * nb.size for m, nb in zip(grid.cells.values(), hoods)) >= G
     rt, a_p, d_c = compute_rt(grid, points, coef_rt=1.0)
     n_p = compute_density(grid, points, rt)
