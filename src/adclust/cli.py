@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .core import AdclustParams, adclust, finish, prepare
-from .dataset import ingest_csv, read_truth_csv, write_csv
+from .dataset import (ingest_csv, read_text, read_truth_csv, write_csv,
+                      write_text)
 from .errors import (DegenerateGeometryError, DegenerateRegionError,
                      GridBudgetError, ValidationError)
 from .game import solve_game
@@ -59,10 +60,7 @@ def _read_config(path: str | None, section: str, fields: dict) -> dict:
         return {}
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from None
+        parser.read_string(read_text(path), source=path)
     except configparser.Error as exc:
         detail = " ".join(str(exc).split())  # one line for the error report
         raise ValidationError(f"cannot parse config {path}: {detail}") from None
@@ -89,10 +87,14 @@ def _ensure_out(path: str) -> str:
 
 
 def _load_csv(args, seed: int, truth):
-    """Ingest --input; an explicit truth wins over the pre-blanking labels."""
+    """Ingest --input; an explicit truth wins over the pre-blanking labels
+    and loses the rows ingest dropped when it still has them."""
     dataset, info = ingest_csv(args.input, label_column=args.label_column,
                                label_fraction=args.label_fraction, seed=seed)
-    truth = info.truth if truth is None else truth
+    if truth is None:
+        truth = info.truth
+    elif truth.shape[0] == dataset.n + len(info.dropped_index):
+        truth = np.delete(truth, info.dropped_index)
     if truth is not None and truth.shape[0] != dataset.n:
         raise ValidationError(
             f"truth rows ({truth.shape[0]}) do not match dataset rows "
@@ -128,8 +130,7 @@ def _cmd_cluster(args) -> int:
     if dataset.q == 2:
         svg = render_svg(dataset.points, result.composition.region,
                          result.walls)
-        with open(os.path.join(out, "regions.svg"), "w") as fh:
-            fh.write(svg)
+        write_text(os.path.join(out, "regions.svg"), svg)
     else:
         print(f"plotting requires q=2 (input has q={dataset.q}); "
               "metrics-only report written")
@@ -147,11 +148,8 @@ def _cmd_simulate(args) -> int:
     _ensure_out(os.path.dirname(os.path.abspath(args.out)))
     stem, ext = os.path.splitext(args.out)
     truth_path = f"{stem}.truth{ext or '.csv'}"
-    try:
-        write_csv(args.out, dataset)
-        write_csv(truth_path, dataset, labels=truth)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {args.out}: {exc}") from None
+    write_csv(args.out, dataset)
+    write_csv(truth_path, dataset, labels=truth)
     print(f"dataset: {args.out}")
     print(f"truth:   {truth_path}")
     return 0
@@ -269,10 +267,7 @@ def _cmd_eta(args) -> int:
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
     try:
-        with open(args.stats, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {args.stats}: {exc}") from None
+        payload = json.loads(read_text(args.stats))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{args.stats}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):

@@ -21,6 +21,7 @@ LABEL_NONE = -1
 TRUTH_UNKNOWN = 2
 
 _LABEL_TOKENS = {"normal": LABEL_NORMAL, "abnormal": LABEL_ABNORMAL, "": LABEL_NONE}
+_TRUTH_TOKENS = {**_LABEL_TOKENS, "unknown": TRUTH_UNKNOWN}
 _TOKEN_OF = {LABEL_NORMAL: "normal", LABEL_ABNORMAL: "abnormal", LABEL_NONE: "",
              TRUTH_UNKNOWN: "unknown"}
 
@@ -76,11 +77,13 @@ class IngestInfo:
 
     truth holds the pre-blanking labels when label subsampling was
     requested (evaluation only). dropped_rows lists 1-based data row
-    numbers rejected for non-finite values.
+    numbers rejected for non-finite values; dropped_index gives their
+    0-based positions among the non-blank data rows, as truth rows count.
     """
 
     truth: np.ndarray | None
     dropped_rows: tuple[int, ...]
+    dropped_index: tuple[int, ...]
     retained_label_count: int
 
 
@@ -88,15 +91,36 @@ def label_token(code: int) -> str:
     return _TOKEN_OF[int(code)]
 
 
-def _csv_rows(path: str):
-    """csv.reader over the whole UTF-8 text of path; a file that cannot
-    be opened or decoded is a ValidationError."""
+def read_text(path: str) -> str:
+    """UTF-8 text of path, newlines as they are, a leading byte-order
+    mark dropped; a file that cannot be read is a ValidationError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return csv.reader(io.StringIO(text, newline=""))
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, newlines as they are; a path that
+    cannot be written is a ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
+def _csv_rows(path: str):
+    """Stripped header of the CSV at path and its non-blank data rows as
+    (row number, cells), numbered from 1 with blank rows counted."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    rows = ((rownum, raw) for rownum, raw in enumerate(reader, start=1)
+            if any(c.strip() for c in raw))
+    return [h.strip() for h in header], rows
 
 
 def ingest_csv(path: str, label_column: str = "label",
@@ -111,12 +135,7 @@ def ingest_csv(path: str, label_column: str = "label",
     keeps its labels and the rest are blanked; the original labels are
     returned as truth.
     """
-    reader = _csv_rows(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
+    header, data = _csv_rows(path)
     if label_column in header:
         label_idx = header.index(label_column)
     else:
@@ -127,9 +146,8 @@ def ingest_csv(path: str, label_column: str = "label",
     rows: list[list[float]] = []
     labels: list[int] = []
     dropped: list[int] = []
-    for rownum, raw in enumerate(reader, start=1):
-        if not raw or all(not c.strip() for c in raw):
-            continue
+    dropped_index: list[int] = []
+    for pos, (rownum, raw) in enumerate(data):
         if len(raw) != len(header):
             raise ValidationError(
                 f"{path}: row {rownum} has {len(raw)} cells, expected {len(header)}")
@@ -144,6 +162,7 @@ def ingest_csv(path: str, label_column: str = "label",
                     f"column {header[i]!r}") from None
         if not all(map(math.isfinite, vals)):
             dropped.append(rownum)
+            dropped_index.append(pos)
             continue
         if label_idx is not None:
             token = raw[label_idx].strip()
@@ -172,12 +191,11 @@ def ingest_csv(path: str, label_column: str = "label",
         keep_n = max(1, round(label_fraction * labeled.size))
         rng = np.random.default_rng(seed)
         keep = rng.choice(labeled, size=keep_n, replace=False)
-        blanked = label_arr.copy()
-        blanked[np.setdiff1d(labeled, keep)] = LABEL_NONE
-        label_arr = blanked
+        label_arr[np.setdiff1d(labeled, keep)] = LABEL_NONE
         retained = keep_n
     ds = Dataset(points, label_arr, names)
     return ds, IngestInfo(truth=truth, dropped_rows=tuple(dropped),
+                          dropped_index=tuple(dropped_index),
                           retained_label_count=retained)
 
 
@@ -187,33 +205,26 @@ def read_truth_csv(path: str, label_column: str = "label") -> np.ndarray:
     Accepts the evaluation token "unknown" (code 2) on top of the
     ingestion tokens; feature columns are ignored.
     """
-    tokens = dict(_LABEL_TOKENS)
-    tokens["unknown"] = TRUTH_UNKNOWN
-    reader = _csv_rows(path)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ValidationError(f"{path}: empty file") from None
+    header, data = _csv_rows(path)
     if label_column not in header:
         raise ValidationError(f"{path}: no {label_column!r} column")
     idx = header.index(label_column)
     out: list[int] = []
-    for rownum, raw in enumerate(reader, start=1):
-        if not raw or all(not c.strip() for c in raw):
-            continue
+    for rownum, raw in data:
         token = raw[idx].strip() if idx < len(raw) else ""
-        if token not in tokens:
+        if token not in _TRUTH_TOKENS:
             raise ValidationError(
                 f"{path}: unknown label token {token!r} at row {rownum}")
-        out.append(tokens[token])
+        out.append(_TRUTH_TOKENS[token])
     return np.array(out, dtype=np.int8)
 
 
 def write_csv(path: str, dataset: Dataset, labels: np.ndarray | None = None) -> None:
     """Write points plus a label column (dataset.labels unless overridden)."""
     lab = dataset.labels if labels is None else np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + ["label"])
-        for row, code in zip(dataset.points, lab):
-            writer.writerow([repr(float(v)) for v in row] + [label_token(code)])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(list(dataset.feature_names) + ["label"])
+    for row, code in zip(dataset.points, lab):
+        writer.writerow([repr(float(v)) for v in row] + [label_token(code)])
+    write_text(path, buf.getvalue())

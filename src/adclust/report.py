@@ -6,6 +6,8 @@ enters a report; it goes to a timing.json sidecar next to it.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from importlib.metadata import PackageNotFoundError, version
@@ -13,7 +15,7 @@ from importlib.metadata import PackageNotFoundError, version
 import numpy as np
 
 from .core import REGION_NAMES, ClusteringResult
-from .dataset import Dataset
+from .dataset import Dataset, write_text
 from .game import Equilibrium, GameTables
 
 SCHEMA_VERSION = "1"
@@ -57,8 +59,7 @@ def dump_json(obj, path: str) -> None:
                 .replace("\0", pad + "  ]," + pad + "  [" + pad + "    "))
         text = (text[:at] + "[" + pad + "  [" + pad + "    " + body
                 + pad + "  ]" + pad + "]" + text[at + len(mark):])
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_text(path, text + "\n")
 
 
 def cluster_metrics(result: ClusteringResult,
@@ -263,41 +264,33 @@ def build_game_report(eq: Equilibrium, tables: GameTables,
 
 def write_landscape_csv(path: str, tables: GameTables) -> None:
     """One row per (adversary, t, alpha) lattice cell."""
-    with open(path, "w") as fh:
-        fh.write("adversary,t,alpha,attacker_utility,adversary_error,"
-                 "normal_error\n")
-        # tolist() gives Python floats, whose repr is the plain number
-        alphas = tables.alphas.tolist()
-        normal = tables.normal_error.tolist()
-        for i, (a_tab, e_tab) in enumerate(zip(tables.attacker,
-                                               tables.adv_error)):
-            for t, a_row, e_row in zip(tables.ts.tolist(), a_tab.tolist(),
-                                       e_tab.tolist()):
-                for alpha, a, e, ne in zip(alphas, a_row, e_row, normal):
-                    fh.write(f"{i},{t!r},{alpha!r},{a!r},{e!r},{ne!r}\n")
+    lines = ["adversary,t,alpha,attacker_utility,adversary_error,"
+             "normal_error\n"]
+    # tolist() gives Python floats, whose repr is the plain number
+    alphas = tables.alphas.tolist()
+    normal = tables.normal_error.tolist()
+    for i, (a_tab, e_tab) in enumerate(zip(tables.attacker,
+                                           tables.adv_error)):
+        for t, a_row, e_row in zip(tables.ts.tolist(), a_tab.tolist(),
+                                   e_tab.tolist()):
+            for alpha, a, e, ne in zip(alphas, a_row, e_row, normal):
+                lines.append(f"{i},{t!r},{alpha!r},{a!r},{e!r},{ne!r}\n")
+    write_text(path, "".join(lines))
 
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
-    """Header from the first row's keys; rows is nonempty."""
+    """Header from the first row's keys; rows is nonempty. csv writes
+    None as an empty cell and a float as its repr."""
     columns = list(rows[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(repr(v))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([row[col] for col in columns] for row in rows)
+    write_text(path, buf.getvalue())
 
 
 def write_timing(out_dir: str, seconds: float) -> None:
     """Wall-clock sidecar; kept out of report.json so reports stay
     byte-identical across reruns."""
-    with open(os.path.join(out_dir, "timing.json"), "w") as fh:
-        json.dump({"wall_seconds": seconds}, fh)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "timing.json"),
+               json.dumps({"wall_seconds": seconds}) + "\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adclust import dataset
 from adclust.dataset import (LABEL_ABNORMAL, LABEL_NONE, LABEL_NORMAL,
                              TRUTH_UNKNOWN, Dataset, ingest_csv, label_token,
                              read_truth_csv, write_csv)
@@ -93,6 +94,29 @@ def test_ingest_drops_non_finite_rows(tmp_path):
     assert ds.n == 2
     assert info.dropped_rows == (2, 3)
     np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [5.0, 6.0]])
+
+
+def test_dropped_index_counts_non_blank_rows_only(tmp_path):
+    path = write_text(tmp_path / "d.csv",
+                      "x0,label\n1.0,normal\n\n\nnan,\n2.0,\n")
+    _, info = ingest_csv(path)
+    assert info.dropped_rows == (4,)
+    assert info.dropped_index == (1,)
+
+
+def test_read_text_and_write_text(tmp_path):
+    path = str(tmp_path / "t.csv")
+    dataset.write_text(path, "a,\u00e9\r\nb\n")
+    assert (tmp_path / "t.csv").read_bytes() == "a,\u00e9\r\nb\n".encode()
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + b"a\r\n")
+    assert dataset.read_text(str(tmp_path / "bom.csv")) == "a\r\n"
+    with pytest.raises(ValidationError, match="^cannot write "):
+        dataset.write_text(str(tmp_path), "x")
+    with pytest.raises(ValidationError, match="^cannot read "):
+        dataset.read_text(str(tmp_path))
+    (tmp_path / "latin1.csv").write_bytes(b"\xff\n")
+    with pytest.raises(ValidationError, match="^cannot read .*utf-8"):
+        dataset.read_text(str(tmp_path / "latin1.csv"))
 
 
 def test_ingest_skips_blank_lines(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 from adclust import cli, core
 from adclust.cli import main
 from adclust.core import adclust
-from adclust.dataset import Dataset, ingest_csv, read_truth_csv, write_csv
+from adclust.dataset import (Dataset, ingest_csv, label_token,
+                             read_truth_csv, write_csv)
 from adclust.game import solve_game
 from adclust.report import (build_cluster_report, build_game_report,
                             cluster_metrics, dump_json)
@@ -647,6 +648,123 @@ def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, command):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert blocker.read_text() == "a file, not a directory\n"
+
+
+SWEEP_INPUT = ["sweep", "--kind", "weight", "--label-fraction", "0.5"]
+
+
+@pytest.mark.parametrize("command, name, extra", [
+    ("cluster", "report.json", ()),
+    ("cluster", "regions.svg", ()),
+    ("cluster", "timing.json", ()),
+    ("game", "report.json", ()),
+    ("game", "landscape.csv", ()),
+    ("sweep", "report_k10_a0.6_r0.json", ()),
+    ("sweep", "aggregate.csv", ()),
+    ("sweep", "report_k10_a0.6_r1.json", ("--runs", "2", "--workers", "2")),
+    ("sweep", "aggregate.csv", ("--runs", "2", "--workers", "2"))],
+    ids=["cluster_report", "cluster_svg", "cluster_timing", "game_report",
+         "game_landscape", "sweep_report", "sweep_aggregate",
+         "sweep_pool_report", "sweep_pool_aggregate"])
+def test_output_that_cannot_be_written_exits_two(tmp_path, capsys, command,
+                                                 name, extra):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where a file goes
+    argv = {"cluster": ["cluster", "--input", blob_csv(tmp_path / "d.csv"),
+                        *CLUSTER_FLAGS],
+            "game": ["game", "--preset", "one_adv_log", "--orientation",
+                     "leader", "--samples", "300"],
+            "sweep": [*SWEEP_INPUT, "--input",
+                      blob_csv(tmp_path / "d.csv")]}[command]
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / name}: ")
+    assert err.count("\n") == 1
+
+
+def test_truth_rows_follow_the_rows_ingest_drops(tmp_path):
+    # sim1 with one feature cell of data row 123 (0-based) set to nan and
+    # a blank line before that row; the truth file simulate wrote stays
+    row = 123
+    clean = tmp_path / "in.csv"
+    assert main(["simulate", "--preset", "sim1", "--out", str(clean)]) == 0
+    lines = clean.read_text().split("\n")
+    lines[1 + row] = "nan" + lines[1 + row][lines[1 + row].index(","):]
+    lines.insert(1 + row, "")
+    bad = str(tmp_path / "bad.csv")
+    (tmp_path / "bad.csv").write_text("\n".join(lines))
+    truth_path = str(tmp_path / "in.truth.csv")
+    truth = read_truth_csv(truth_path)
+    want = np.delete(truth, row).tolist()
+    assert main(["cluster", "--input", bad, "--truth", truth_path,
+                 *CLUSTER_FLAGS, "--out", str(tmp_path / "c")]) == 0
+    assert main([*SWEEP_INPUT, "--input", bad, "--truth", truth_path,
+                 "--out", str(tmp_path / "s")]) == 0
+    reports = [tmp_path / "c" / "report.json",
+               *sorted((tmp_path / "s").glob("report_*.json"))]
+    assert len(reports) == 6
+    # the blank line counts in the row number, not in the truth rows
+    command = json.loads(reports[0].read_text())["command"]
+    assert command["dropped_rows"] == [row + 2]
+    for path in reports:
+        rows = json.loads(path.read_text())["points"]["rows"]
+        assert [r[4] for r in rows] == want, path.name
+    # a truth file with one row per kept row is used as it is
+    kept = tmp_path / "kept.csv"
+    kept.write_text("label\n" + "".join(
+        ("unknown" if code == 2 else label_token(code)) + "\n"
+        for code in want))
+    assert main(["cluster", "--input", bad, "--truth", str(kept),
+                 *CLUSTER_FLAGS, "--out", str(tmp_path / "k")]) == 0
+    assert (tmp_path / "k" / "report.json").read_bytes() == \
+        reports[0].read_bytes()
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("flag", ["--input", "--truth", "--config"])
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path, flag):
+    data = ingest_csv(blob_csv(tmp_path / "d.csv"))[0]
+    # label first, so the mark sits in front of the label column's name
+    texts = {"--input": "label,x0,x1\n" + "".join(
+                 f"{label_token(code)},{x!r},{y!r}\n"
+                 for code, (x, y) in zip(data.labels, data.points.tolist())),
+             "--truth": "label\n" + "normal\n" * 60 + "abnormal\n" * 60,
+             "--config": "[cluster]\ncoef_rt = 0.9\nbandwidth = 0.5\n"
+                         "min_wall_size = 10\n"}
+    reports = []
+    for mark in ("", BOM):
+        # one file name in two directories: command.input is the same
+        folder = tmp_path / ("bom" if mark else "plain")
+        folder.mkdir()
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = folder / f"in{name[2:]}"
+            paths[name].write_text((mark if name == flag else "") + text,
+                                   encoding="utf-8")
+        assert paths[flag].read_bytes().startswith(mark.encode())
+        argv = [part for name, path in paths.items()
+                for part in (name, str(path))]
+        assert main(["cluster", *argv, "--k", "10", "--alpha", "0.6",
+                     "--out", str(folder / "out")]) == 0
+        reports.append((folder / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_crlf_config_gives_the_lf_report(tmp_path):
+    csv_path = blob_csv(tmp_path / "d.csv")
+    reports = []
+    for newline in ("\n", "\r\n"):
+        config = tmp_path / f"run{len(newline)}.ini"
+        config.write_bytes(newline.join(
+            ["[cluster]", "coef_rt = 0.9", "bandwidth = 0.5",
+             "min_wall_size = 10", ""]).encode())
+        out = tmp_path / f"out{len(newline)}"
+        assert main(["cluster", "--input", csv_path, "--config", str(config),
+                     "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_sweep_preset_applies_cluster_config(tmp_path):

@@ -1,20 +1,33 @@
 """Scale probe: per-stage wall times and peak RSS of one adclust() call
-on the cluster_q2 benchmark input resampled to N points at q = 2.
+at fixed sizes, and the stage and tail times of a wall sweep.
 
     python3 tools/scale_probe.py [--sizes N ...] [--with-100k]
+                                 [--q Q ...] [--sweep]
                                  [--repeat R] [--seed S] [--root DIR]
 
-The input is the cluster_q2 workload's (perfbench/workloads.py, built
-from --seed) with its rows drawn with replacement to N points, labels
-included, plus N(0, 0.05^2) jitter on every coordinate; the parameters
-are the workload's. The sizes default to 5k and 20k; --with-100k adds
-N = 100,000, which needs several GB of memory. Each size runs in a fresh
-process with one BLAS/OpenMP thread, so its peak RSS (ru_maxrss) is its
-own. A stage time is the inclusive wall time of the calls adclust.core
-makes to it (merge runs inside the three passes), the median over
---repeat calls. --root picks the checkout whose src/ and perfbench/ are
-imported (default: the one holding this script), so one probe can
-measure two checkouts. Prints one JSON object per size.
+A size line's input is the cluster_q2 workload's (perfbench/workloads.py,
+built from --seed) with its rows drawn with replacement to N points,
+labels included, plus N(0, 0.05^2) jitter on every coordinate; the
+parameters are the workload's. The sizes default to 5k and 20k;
+--with-100k adds N = 100,000, which needs several GB of memory.
+
+--q adds one line per dimension: perfbench's three_blobs input at
+N = 1,500 (cluster_q8's 675 normal, 675 abnormal and 150 never-labelled
+points, drawn from --seed) in q dimensions, with cluster_q8's parameters.
+
+--sweep adds one line on the 20k resample: one core.prepare() and the 15
+core.finish() calls of a wall sweep (cli.WALL_ALPHA_GRID x
+cli.WALL_K_GRID, in the order sweep runs them). It prints the stage time
+(prepare_s), each grid point's tail time (finish_s) and their sum; no
+report is built or written.
+
+Each line runs in a fresh process with one BLAS/OpenMP thread, so its
+peak RSS (ru_maxrss) is its own. A stage time is the inclusive wall time
+of the calls adclust.core makes to it (merge runs inside the three
+passes); every time is the median over --repeat calls. --root picks the
+checkout whose src/ and perfbench/ are imported (default: the one
+holding this script), so one probe can measure two checkouts. Prints one
+JSON object per line.
 """
 from __future__ import annotations
 
@@ -22,6 +35,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -31,22 +45,38 @@ STAGES = ("build_grid", "compute_rt", "rt_pairs", "compute_density",
           "compute_dt", "fit_kernel", "pipeline_scores", "pass3_global",
           "pass1_labeled", "pass2_residual", "merge", "match",
           "fit_region_stats", "fit_euclidean_wall", "fit_manhattan_wall")
+Q8_SIZES = (675, 675, 150)  # cluster_q8's three_blobs sizes
+SWEEP_N = 20_000
 
 
-def probe(root: Path, n: int, seed: int, repeat: int) -> dict:
-    """Time `repeat` adclust() calls on the resampled input of size n."""
+def load(root: Path, kind: str, value: int, seed: int):
+    """The (dataset, params) of one line: kind "n" or "sweep" resamples
+    the cluster_q2 input to value points, kind "q" is three_blobs in
+    value dimensions."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
     import workloads
-    from adclust import core
     from adclust.dataset import Dataset
 
-    # cluster_q2 writes no files; its workdir is perfbench's ignored one
-    base = workloads.cluster_q2(seed, str(root / ".perfbench_work"))
+    # neither workload writes files; the workdir is perfbench's ignored one
+    workdir = str(root / ".perfbench_work")
+    if kind == "q":
+        params = workloads.cluster_q8(seed, workdir).params
+        return workloads.three_blobs(value, Q8_SIZES, seed), params
+    base = workloads.cluster_q2(seed, workdir)
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, base.dataset.n, size=n)
-    points = base.dataset.points[rows] + rng.normal(0.0, 0.05, (n, 2))
-    dataset = Dataset(points, base.dataset.labels[rows])
+    rows = rng.integers(0, base.dataset.n, size=value)
+    points = base.dataset.points[rows] + rng.normal(0.0, 0.05, (value, 2))
+    return Dataset(points, base.dataset.labels[rows]), base.params
+
+
+def median(values) -> float:
+    return round(statistics.median(values), 4)
+
+
+def stage_times(dataset, params, repeat: int) -> dict:
+    """Median per-stage and total times of `repeat` adclust() calls."""
+    from adclust import core
 
     times: dict[str, float] = {}
 
@@ -65,12 +95,44 @@ def probe(root: Path, n: int, seed: int, repeat: int) -> dict:
     for _ in range(repeat):
         times.clear()
         start = time.perf_counter()
-        core.adclust(dataset, base.params)
+        core.adclust(dataset, params)
         runs.append(dict(times, total=time.perf_counter() - start))
+    return {"stages_s": {k: median([r.get(k, 0.0) for r in runs])
+                         for k in ("total",) + STAGES}}
+
+
+def sweep_times(dataset, params, repeat: int) -> dict:
+    """Median prepare() time and per-grid-point finish() times of
+    `repeat` wall sweeps."""
+    from adclust.cli import WALL_ALPHA_GRID, WALL_K_GRID
+    from adclust.core import finish, prepare
+
+    grid = [(k, a) for a in WALL_ALPHA_GRID for k in WALL_K_GRID]
+    runs = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        stage = prepare(dataset, params)
+        run = [time.perf_counter() - start]
+        for k, alpha in grid:
+            start = time.perf_counter()
+            finish(stage, k, alpha)
+            run.append(time.perf_counter() - start)
+        runs.append(run)
+    cols = list(zip(*runs))
+    finish_s = [median(col) for col in cols[1:]]
+    return {"grid_points": len(grid), "prepare_s": median(cols[0]),
+            "finish_s": finish_s, "finish_total_s": round(sum(finish_s), 4)}
+
+
+def probe(root: Path, kind: str, value: int, seed: int, repeat: int) -> dict:
+    dataset, params = load(root, kind, value, seed)
+    if kind == "sweep":
+        out = sweep_times(dataset, params, repeat)
+    else:
+        out = stage_times(dataset, params, repeat)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"n": n, "seed": seed, "repeat": repeat,
-            "stages_s": {k: round(float(np.median([r.get(k, 0.0) for r in runs])), 4)
-                         for k in ("total",) + STAGES},
+    head = {"q": value} if kind == "q" else {}
+    return {**head, "n": dataset.n, "seed": seed, "repeat": repeat, **out,
             "peak_rss_mb": round(rss, 1)}
 
 
@@ -78,23 +140,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[5000, 20000])
     parser.add_argument("--with-100k", action="store_true")
+    parser.add_argument("--q", type=int, nargs="+", default=[],
+                        help="three_blobs dimensions to probe")
+    parser.add_argument("--sweep", action="store_true",
+                        help="add a 15-point wall sweep at N = 20k")
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--one", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--one", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1 or min(args.sizes) < 1:
-        parser.error("--sizes and --repeat must be positive")
+    if args.repeat < 1 or min(args.sizes + args.q) < 1:
+        parser.error("--sizes, --q and --repeat must be positive")
     root = args.root.resolve()
     if args.one is not None:
-        print(json.dumps(probe(root, args.one, args.seed, args.repeat)))
+        kind, value = args.one[0], int(args.one[1])
+        print(json.dumps(probe(root, kind, value, args.seed, args.repeat)))
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
-    for n in args.sizes + ([100_000] if args.with_100k else []):
+    lines = [("n", n) for n in args.sizes + ([100_000] if args.with_100k else [])]
+    lines += [("q", q) for q in args.q]
+    lines += [("sweep", SWEEP_N)] if args.sweep else []
+    for kind, value in lines:
         out = subprocess.run(
-            [sys.executable, __file__, "--one", str(n), "--seed",
+            [sys.executable, __file__, "--one", kind, str(value), "--seed",
              str(args.seed), "--repeat", str(args.repeat), "--root",
              str(root)], env=env, check=True, capture_output=True, text=True)
         print(out.stdout.strip(), flush=True)
