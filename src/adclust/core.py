@@ -6,9 +6,9 @@ components; a component becomes a cluster when it contains at least one
 point whose centroid statistic reaches dt, otherwise its points stay
 unassigned. This equals running seeded attach-and-merge to a fixpoint,
 and a brute-force transitive closure is the reference oracle for it.
-prepare() builds the closed rt graph once per stage (grid.rt_pairs);
-density n(p), the pass-1 conflicts and all four merges read it, a merge
-using the edges with both ends among its participants. Inputs whose
+prepare() builds the closed rt graph once per stage, one CSR adjacency
+(grid.rt_graph); n(p), the pass-1 conflicts and all four merges read it,
+a merge taking the subgraph its participants induce. Inputs whose
 squared distances overflow raise ValidationError (CLI exit 2).
 
 Pass 1 runs two sign-separated merges over the kernel-weighted density
@@ -35,12 +35,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
+from scipy.sparse import csr_matrix
 
 from .dataset import LABEL_ABNORMAL, LABEL_NORMAL, Dataset
 from .errors import ValidationError
-from .grid import DensityProfile, Pairs, Thresholds, build_grid, \
-    compute_density, compute_dt, compute_rt, rt_pairs
+from .grid import DensityProfile, Thresholds, build_grid, \
+    compute_density, compute_dt, compute_rt, rt_graph
 from .kernel import fit_kernel, pipeline_scores, weight
 from .walls import Wall, fit_euclidean_wall, fit_manhattan_wall, fit_region_stats
 
@@ -54,12 +54,12 @@ REGION_NAMES = ("normal_core", "abnormal_region", "mixed_overlap",
 
 
 def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
-          dt: float, rt: float, pairs: Pairs | None = None
+          dt: float, rt: float, graph: csr_matrix | None = None
           ) -> tuple[list[np.ndarray], np.ndarray]:
     """Cluster the given ids; see the module docstring for semantics.
 
-    stat aligns with point_ids; pairs is the rt graph over all of points,
-    rt_pairs(points, rt) by default. Returns (clusters, unassigned),
+    stat aligns with point_ids; graph is the rt graph over all of points,
+    rt_graph(points, rt) by default. Returns (clusters, unassigned),
     clusters ordered by smallest member id and members ascending.
     """
     # csgraph costs about 3 MB of peak RSS; only merges need it
@@ -77,16 +77,10 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
     ids = point_ids[order]
     if (ids[1:] == ids[:-1]).any():
         raise ValidationError("point_ids must be unique")
-    n = points.shape[0]
-    if ids[0] < 0 or ids[-1] >= n:
+    if ids[0] < 0 or ids[-1] >= points.shape[0]:
         raise ValidationError("point_ids must lie in [0, N)")
-    i, j = rt_pairs(points, rt) if pairs is None else pairs
-    inside = np.zeros(n, dtype=bool)
-    inside[point_ids] = True
-    both = inside[i] & inside[j]
-    graph = sparse.coo_matrix((np.ones(both.sum()), (i[both], j[both])), shape=(n, n))
-    n_comp, comp = connected_components(graph, directed=False)
-    comp = comp[ids]
+    graph = rt_graph(points, rt) if graph is None else graph
+    n_comp, comp = connected_components(graph[ids][:, ids], directed=False)
     seeded = np.zeros(n_comp, dtype=bool)
     seeded[comp[stat[order] >= dt]] = True
     kept = np.flatnonzero(seeded[comp])
@@ -105,7 +99,7 @@ class SubCluster:
 
 
 def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
-                  dt: float, rt: float, pairs: Pairs
+                  dt: float, rt: float, graph: csr_matrix
                   ) -> tuple[list[SubCluster], list[SubCluster],
                              np.ndarray, np.ndarray]:
     """Labeled sub-clusters, conflicted ids, and the leftover pool.
@@ -118,8 +112,8 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     all_ids = np.arange(n, dtype=np.int64)
     pos = all_ids[rho > 0]
     neg = all_ids[rho < 0]
-    norm_raw, _ = merge(points, pos, rho[pos], dt, rt, pairs)
-    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt, pairs)
+    norm_raw, _ = merge(points, pos, rho[pos], dt, rt, graph)
+    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt, graph)
 
     def anchored(groups: list[np.ndarray], wanted: int) -> list[np.ndarray]:
         return [g for g in groups if (labels[g] == wanted).any()]
@@ -134,12 +128,10 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 
     conflicted = np.empty(0, dtype=np.int64)
     if norm_groups and abn_groups and remaining.size:
-        # near[s, p]: p has a point of side s within rt
-        i, j = pairs
-        near = np.zeros((3, n), dtype=bool)
-        near[side[j], i] = True
-        near[side[i], j] = True
-        conflicted = remaining[near[1, remaining] & near[2, remaining]]
+        # hits[p, s - 1]: how many points of side s lie within rt of p
+        sides = np.stack((side == 1, side == 2), axis=1).astype(np.float64)
+        hits = graph @ sides + graph.T @ sides
+        conflicted = remaining[(hits[remaining] > 0).all(axis=1)]
 
     normal_subs = [SubCluster(g, "normal", 1) for g in norm_groups]
     abnormal_subs = [SubCluster(g, "abnormal", 1) for g in abn_groups]
@@ -147,18 +139,18 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 
 
 def pass2_residual(points: np.ndarray, remaining: np.ndarray,
-                   n_p: np.ndarray, dt: float, rt: float, pairs: Pairs
+                   n_p: np.ndarray, dt: float, rt: float, graph: csr_matrix
                    ) -> tuple[list[SubCluster], np.ndarray]:
     """Unlabeled sub-clusters over the leftover pool, original densities."""
-    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt, pairs)
+    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt, graph)
     return [SubCluster(g, "unlabeled", 2) for g in groups], unassigned
 
 
 def pass3_global(points: np.ndarray, n_p: np.ndarray, dt: float, rt: float,
-                 pairs: Pairs) -> tuple[list[np.ndarray], np.ndarray]:
+                 graph: csr_matrix) -> tuple[list[np.ndarray], np.ndarray]:
     """Label-blind global clusters over all points."""
     all_ids = np.arange(points.shape[0], dtype=np.int64)
-    return merge(points, all_ids, n_p, dt, rt, pairs)
+    return merge(points, all_ids, n_p, dt, rt, graph)
 
 
 @dataclass
@@ -299,16 +291,17 @@ class Stage:
     """What adclust() computes before k and alpha enter.
 
     prepare() fills it once per (dataset, params); finish() clusters it
-    at any k and alpha. walls caches fitted walls by (member ids, wall
-    position, alpha): within one stage the kind, seed and sample size
-    that a wall also depends on are fixed by params.
+    at any k and alpha. graph is the one CSR rt graph (grid.rt_graph)
+    that density and every merge read. walls caches fitted walls by
+    (member ids, wall position, alpha): within one stage the kind, seed
+    and sample size that a wall also depends on are fixed by params.
     """
 
     dataset: Dataset
     params: AdclustParams
     thresholds: Thresholds
     profile: DensityProfile
-    pairs: Pairs
+    graph: csr_matrix
     bandwidth: float
     scores: np.ndarray
     uninformative_scores: int
@@ -326,16 +319,16 @@ def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
     if rt <= 0:
         raise ValidationError("computed rt is zero: the points are coincident "
                               "or their squared distances underflow")
-    pairs = rt_pairs(pts, rt)
-    n_p = compute_density(grid, pts, rt, pairs=pairs)
+    graph = rt_graph(pts, rt)
+    n_p = compute_density(grid, pts, rt, graph=graph)
     dt, _ = compute_dt(grid, n_p, params.coef_dt, params.log_base)
     b, flags = pipeline_scores(dataset, clf)
-    clusters, _ = pass3_global(pts, n_p, dt, rt, pairs)
+    clusters, _ = pass3_global(pts, n_p, dt, rt, graph)
     return Stage(dataset=dataset, params=params,
                  thresholds=Thresholds(rt=rt, dt=dt),
                  profile=DensityProfile(avg_dist_point=a_p,
                                         density_point=n_p.astype(np.float64)),
-                 pairs=pairs, bandwidth=clf.bandwidth, scores=b,
+                 graph=graph, bandwidth=clf.bandwidth, scores=b,
                  uninformative_scores=int(flags.sum()), clusters=clusters)
 
 
@@ -355,9 +348,9 @@ def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
     rho = n_p * weight(stage.scores, k)
 
     normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-        pts, dataset.labels, rho, dt, rt, stage.pairs)
+        pts, dataset.labels, rho, dt, rt, stage.graph)
     unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt,
-                                       stage.pairs)
+                                       stage.graph)
     comp = match(dataset.n, normal_subs, abnormal_subs, unlabeled_subs,
                  stage.clusters, conflicted)
 

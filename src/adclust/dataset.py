@@ -113,14 +113,23 @@ def write_text(path: str, text: str) -> None:
 
 def _csv_rows(path: str):
     """Stripped header of the CSV at path and its non-blank data rows as
-    (row number, cells), numbered from 1 with blank rows counted."""
+    (row number, cells), numbered from 1 with blank rows counted; a row
+    whose cell count differs from the header's is a ValidationError."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
         raise ValidationError(f"{path}: empty file")
-    rows = ((rownum, raw) for rownum, raw in enumerate(reader, start=1)
-            if any(c.strip() for c in raw))
-    return [h.strip() for h in header], rows
+
+    def rows():
+        for rownum, raw in enumerate(reader, start=1):
+            if not any(c.strip() for c in raw):
+                continue
+            if len(raw) != len(header):
+                raise ValidationError(f"{path}: row {rownum} has {len(raw)} "
+                                      f"cells, expected {len(header)}")
+            yield rownum, raw
+
+    return [h.strip() for h in header], rows()
 
 
 def ingest_csv(path: str, label_column: str = "label",
@@ -136,10 +145,7 @@ def ingest_csv(path: str, label_column: str = "label",
     returned as truth.
     """
     header, data = _csv_rows(path)
-    if label_column in header:
-        label_idx = header.index(label_column)
-    else:
-        label_idx = None
+    label_idx = header.index(label_column) if label_column in header else None
     feat_idx = [i for i in range(len(header)) if i != label_idx]
     if not feat_idx:
         raise ValidationError(f"{path}: no feature columns")
@@ -148,9 +154,6 @@ def ingest_csv(path: str, label_column: str = "label",
     dropped: list[int] = []
     dropped_index: list[int] = []
     for pos, (rownum, raw) in enumerate(data):
-        if len(raw) != len(header):
-            raise ValidationError(
-                f"{path}: row {rownum} has {len(raw)} cells, expected {len(header)}")
         vals = []
         for i in feat_idx:
             cell = raw[i].strip()
@@ -211,7 +214,7 @@ def read_truth_csv(path: str, label_column: str = "label") -> np.ndarray:
     idx = header.index(label_column)
     out: list[int] = []
     for rownum, raw in data:
-        token = raw[idx].strip() if idx < len(raw) else ""
+        token = raw[idx].strip()
         if token not in _TRUTH_TOKENS:
             raise ValidationError(
                 f"{path}: unknown label token {token!r} at row {rownum}")

@@ -42,12 +42,12 @@ Distance convention: Euclidean, sqrt of the squared differences summed
 in dimension order, float64 throughout (_sq_distances, the package's only
 squared distance; kernel.py and the game's movement cost use it too).
 _sq_distance_blocks yields many-to-many blocks in chunks of the one
-_BLOCK_ELEMENTS budget. rt_pairs is the one closed rt-pair kernel (a
-pair at exactly rt connects). core.prepare() builds this graph once per
-stage; density, pass-1 conflicts and every merge read it, a merge using
-the edges with both ends among its participants. Distances that overflow,
-or distinct points whose distances all underflow to zero, raise
-ValidationError (CLI exit 2).
+_BLOCK_ELEMENTS budget. rt_graph is the one closed rt-pair kernel (a
+pair at exactly rt connects) and returns the graph as one CSR upper
+triangle. core.prepare() builds it once per stage; density, pass-1
+conflicts and every merge read it, a merge taking the subgraph its
+participants induce. Distances that overflow, or distinct points whose
+distances all underflow to zero, raise ValidationError (CLI exit 2).
 """
 from __future__ import annotations
 
@@ -56,12 +56,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
-
-# Index arrays (i, j) of the closed rt graph, as rt_pairs returns them.
-Pairs = tuple[np.ndarray, np.ndarray]
 
 # Largest q * rows * columns of coordinate differences one distance
 # block takes, so its memory stays bounded.
@@ -479,8 +477,9 @@ def compute_rt(grid: Grid, points: np.ndarray,
     return rt, a_p, d_c
 
 
-def rt_pairs(points: np.ndarray, rt: float) -> Pairs:
-    """Index arrays of every pair i < j at distance <= rt.
+def rt_graph(points: np.ndarray, rt: float) -> csr_matrix:
+    """The closed rt graph: an (N, N) CSR matrix with an entry at (i, j)
+    for every pair i < j at distance <= rt, the upper triangle only.
 
     KD-tree candidates within rt plus a few ulps per dimension (its own
     summation order may round differently) are rechecked with the
@@ -489,24 +488,24 @@ def rt_pairs(points: np.ndarray, rt: float) -> Pairs:
     if rt < 0:
         raise ValidationError("rt must be nonnegative")
     n, q = points.shape
-    if n < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     _check_extent(points)
     reach = rt * (1.0 + 4 * (q + 2) * np.finfo(np.float64).eps)
-    cand = cKDTree(points).query_pairs(reach, output_type="ndarray")
-    i, j = cand[:, 0], cand[:, 1]
+    i, j = cKDTree(points).query_pairs(reach, output_type="ndarray").T
     cols = np.ascontiguousarray(points.T)
     keep = np.sqrt(_sq_distances(cols[:, i], cols[:, j])) <= rt
-    return i[keep], j[keep]
+    # sorting i * N + j orders the edges by row, columns ascending
+    i, j = np.divmod(np.sort(i[keep] * n + j[keep]), n)
+    indptr = np.searchsorted(i, np.arange(n + 1))
+    return csr_matrix((np.ones(j.size, dtype=bool), j, indptr), shape=(n, n))
 
 
 def compute_density(grid: Grid, points: np.ndarray, rt: float,
-                    pairs: Pairs | None = None) -> np.ndarray:
+                    graph: csr_matrix | None = None) -> np.ndarray:
     """Point density n(p): neighborhood points within rt of p, p included.
 
-    Counts p's partners in pairs (default rt_pairs(points, rt)) in cells
-    within Chebyshev distance 1 of its own, so it undercounts when rt
-    exceeds the cell side.
+    Counts p's edges in graph (default rt_graph(points, rt)) to points
+    in cells within Chebyshev distance 1 of its own, so it undercounts
+    when rt exceeds the cell side.
 
     Keys floor(fl(fl(x - min) / width)) are monotone in x. Where rt is
     below every nondegenerate section width by 4 (m + 1) eps of it,
@@ -515,15 +514,17 @@ def compute_density(grid: Grid, points: np.ndarray, rt: float,
     pair is already in neighboring cells, and the filter is skipped.
     """
     _check_points(grid, points)
-    i, j = rt_pairs(points, rt) if pairs is None else pairs
+    graph = rt_graph(points, rt) if graph is None else graph
+    n = points.shape[0]
+    degree, j = np.diff(graph.indptr), graph.indices
     narrowest = grid.widths[grid.widths > 0].min(initial=math.inf)
     eps = np.finfo(np.float64).eps
     if not rt < narrowest * (1.0 - 4 * (grid.sections + 1) * eps):
+        i = np.repeat(np.arange(n), degree)
         cells = grid.cell_of_point
         near = (np.abs(cells[i] - cells[j]) <= 1).all(axis=1)
-        i, j = i[near], j[near]
-    n = points.shape[0]
-    return 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+        degree, j = np.bincount(i[near], minlength=n), j[near]
+    return 1 + degree + np.bincount(j, minlength=n)
 
 
 def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,

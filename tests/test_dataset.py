@@ -186,3 +186,15 @@ def test_read_truth_csv(tmp_path):
     missing = write_text(tmp_path / "m.csv", "x0\n1.0\n")
     with pytest.raises(ValidationError, match="no 'label' column"):
         read_truth_csv(missing)
+
+
+def test_read_truth_csv_rejects_rows_of_the_wrong_width(tmp_path):
+    # a truncated row must not read as "no truth", nor an extra cell pass
+    short = write_text(tmp_path / "s.csv", "x0,label\n1.0\n"
+                       "2.0,normal,extra\n3.0,abnormal\n")
+    with pytest.raises(ValidationError, match="row 1 has 1 cells, expected 2"):
+        read_truth_csv(short)
+    long = write_text(tmp_path / "l.csv", "x0,label\n1.0,normal\n"
+                      "2.0,normal,extra\n")
+    with pytest.raises(ValidationError, match="row 2 has 3 cells, expected 2"):
+        read_truth_csv(long)

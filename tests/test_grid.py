@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import oracle_grid_cells, oracle_thresholds
+from conftest import oracle_distance, oracle_grid_cells, oracle_thresholds
 
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
 from adclust.grid import (_SPLIT_ELEMENTS, _exact_prefix_sums,
                           _exact_row_sums, _near_cells, build_grid,
-                          compute_density, compute_dt, compute_rt)
+                          compute_density, compute_dt, compute_rt,
+                          rt_graph)
 from adclust.walls import sample_gaussian
 
 G = _SPLIT_ELEMENTS
@@ -329,6 +330,44 @@ def test_validation_errors():
             compute_dt(grid, np.array([1, 1]), log_base=base)
     with pytest.raises(DegenerateGeometryError):
         compute_dt(build_grid(np.array([[0.0]])), np.array([1]))
+
+
+def oracle_edges(pts, rt):
+    n = len(pts)
+    return {(a, b) for a in range(n) for b in range(a + 1, n)
+            if oracle_distance(pts[a], pts[b]) <= rt}
+
+
+def graph_edges(graph):
+    coo = graph.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def test_rt_graph_is_the_closed_upper_triangle():
+    rng = np.random.default_rng(41)
+    cases = []
+    for trial in range(30):
+        q = int(rng.integers(1, 5))
+        pts = rng.normal(size=(int(rng.integers(2, 80)), q))
+        cases.append((pts, float(rng.uniform(0.05, 1.5))))
+    # exact ties: 0.1-lattice points, rt one pair's documented distance
+    for trial in range(200):
+        pts = rng.integers(-5, 6, size=(12, int(rng.integers(2, 5)))) * 0.1
+        a, b = rng.choice(12, size=2, replace=False)
+        cases.append((pts, oracle_distance(pts[a], pts[b])))
+    for pts, rt in cases:
+        graph = rt_graph(pts, rt)
+        n = len(pts)
+        assert graph.format == "csr" and graph.shape == (n, n)
+        assert graph.has_canonical_format
+        edges = graph_edges(graph)
+        assert all(a < b for a, b in edges)
+        assert edges == oracle_edges(pts, rt)
+        assert graph.nnz == len(edges)
+    one = rt_graph(np.array([[0.5, 2.0]]), 1.0)
+    assert one.shape == (1, 1) and one.nnz == 0
+    with pytest.raises(ValidationError, match="nonnegative"):
+        rt_graph(np.zeros((3, 2)), -1.0)
 
 
 def test_stage_inputs_must_match_their_grid():

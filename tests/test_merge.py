@@ -6,7 +6,7 @@ import pytest
 
 from adclust.core import merge
 from adclust.errors import ValidationError
-from adclust.grid import rt_pairs
+from adclust.grid import rt_graph
 from conftest import oracle_distance, oracle_merge
 
 
@@ -133,7 +133,7 @@ def test_oracle_equivalence_seeded():
         expected_clusters, expected_un = oracle_merge(
             pts, point_ids, stat, 1.0, rt)
         got_clusters, got_un = merge(pts, point_ids, stat, dt=1.0, rt=rt,
-                                     pairs=rt_pairs(pts, rt))
+                                     graph=rt_graph(pts, rt))
         assert [c.tolist() for c in got_clusters] == \
             [c.tolist() for c in expected_clusters]
         assert got_un.tolist() == expected_un.tolist()

@@ -14,7 +14,7 @@ from adclust.core import (REGION_ABNORMAL, REGION_MIXED, REGION_NORMAL_CORE,
                           pass2_residual, prepare)
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
-from adclust.grid import rt_pairs
+from adclust.grid import rt_graph
 from adclust.synthetic import simulation_preset
 from conftest import oracle_distance
 
@@ -32,7 +32,7 @@ def test_pass1_each_sign_merges_separately():
     labels = np.array([1, -1, 0, -1, -1], dtype=np.int8)
     rho = np.array([2.0, 1.5, -2.0, -1.5, 0.0])
     normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-        pts, labels, rho, dt=1.0, rt=0.5, pairs=rt_pairs(pts, 0.5))
+        pts, labels, rho, dt=1.0, rt=0.5, graph=rt_graph(pts, 0.5))
     assert members(normal_subs) == [{0, 1}]
     assert members(abnormal_subs) == [{2, 3}]
     assert all(sc.class_tag == "normal" for sc in normal_subs)
@@ -47,7 +47,7 @@ def test_pass1_group_without_genuine_label_dissolves():
     labels = np.array([1, -1, -1, -1, 0, -1], dtype=np.int8)
     rho = np.array([2.0, 2.0, 2.0, 2.0, -2.0, -2.0])
     normal_subs, abnormal_subs, _, remaining = pass1_labeled(
-        pts, labels, rho, dt=1.0, rt=0.5, pairs=rt_pairs(pts, 0.5))
+        pts, labels, rho, dt=1.0, rt=0.5, graph=rt_graph(pts, 0.5))
     assert members(normal_subs) == [{0, 1}]
     assert members(abnormal_subs) == [{4, 5}]
     assert sorted(remaining.tolist()) == [2, 3]
@@ -58,7 +58,7 @@ def test_pass1_zero_weight_point_sits_out():
     labels = np.array([1, -1, 0], dtype=np.int8)
     rho = np.array([2.0, 0.0, -2.0])
     normal_subs, abnormal_subs, _, remaining = pass1_labeled(
-        pts, labels, rho, dt=1.0, rt=0.5, pairs=rt_pairs(pts, 0.5))
+        pts, labels, rho, dt=1.0, rt=0.5, graph=rt_graph(pts, 0.5))
     assert members(normal_subs) == [{0}]
     assert members(abnormal_subs) == [{2}]
     assert remaining.tolist() == [1]
@@ -69,12 +69,12 @@ def test_pass1_conflicted_point_near_both_classes():
     labels = np.array([1, 0, -1], dtype=np.int8)
     rho = np.array([2.0, -2.0, 0.0])
     _, _, conflicted, remaining = pass1_labeled(
-        pts, labels, rho, dt=1.0, rt=0.6, pairs=rt_pairs(pts, 0.6))
+        pts, labels, rho, dt=1.0, rt=0.6, graph=rt_graph(pts, 0.6))
     assert remaining.tolist() == [2]
     assert conflicted.tolist() == [2]
     # out of reach of the normal side: no conflict
     _, _, conflicted, _ = pass1_labeled(pts, labels, rho, dt=1.0, rt=0.4,
-                                        pairs=rt_pairs(pts, 0.4))
+                                        graph=rt_graph(pts, 0.4))
     assert conflicted.size == 0
     # brute force on lattice points (multiples of 0.1), rt set to one
     # pair's documented distance so that exact ties occur
@@ -90,7 +90,7 @@ def test_pass1_conflicted_point_near_both_classes():
         if rt == 0.0:
             continue
         normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-            pts, labels, rho, dt=1.0, rt=rt, pairs=rt_pairs(pts, rt))
+            pts, labels, rho, dt=1.0, rt=rt, graph=rt_graph(pts, rt))
         taken = set().union(*members(normal_subs + abnormal_subs))
         assert remaining.tolist() == sorted(set(range(16)) - taken)
 
@@ -108,7 +108,7 @@ def test_pass2_runs_on_leftovers_with_plain_density():
     remaining = np.array([0, 1, 2], dtype=np.int64)
     n_p = np.array([3.0, 3.0, 1.0])
     subs, unassigned = pass2_residual(pts, remaining, n_p, dt=2.0, rt=0.5,
-                                      pairs=rt_pairs(pts, 0.5))
+                                      graph=rt_graph(pts, 0.5))
     assert members(subs) == [{0, 1}]
     assert all(sc.class_tag == "unlabeled" and sc.pass_origin == 2
                for sc in subs)
@@ -289,10 +289,10 @@ def test_adclust_builds_the_rt_graph_once(monkeypatch):
 
     def counted(points, rt):
         calls.append(rt)
-        return rt_pairs(points, rt)
+        return rt_graph(points, rt)
 
-    monkeypatch.setattr(core_module, "rt_pairs", counted)
-    monkeypatch.setattr(grid_module, "rt_pairs", counted)
+    monkeypatch.setattr(core_module, "rt_graph", counted)
+    monkeypatch.setattr(grid_module, "rt_graph", counted)
     ds, _, params = simulation_preset("sim1", seed=0)
     result = adclust(ds, params)
     assert calls == [result.thresholds.rt]

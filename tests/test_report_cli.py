@@ -152,6 +152,12 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
                  "--out", str(tmp_path / "o5")]) == 2
     assert "do not match" in capsys.readouterr().err
 
+    ragged_truth = tmp_path / "ragged.csv"
+    ragged_truth.write_text("x,label\n0\n" + "0,normal\n" * 119)
+    assert run_cluster(csv_path, tmp_path / "o6",
+                       ("--truth", str(ragged_truth))) == 2
+    assert "row 1 has 1 cells, expected 2" in capsys.readouterr().err
+
     # finite values whose squared distances overflow
     huge = tmp_path / "huge.csv"
     rng = np.random.default_rng(0)
@@ -536,13 +542,13 @@ def test_sweep_loads_each_run_once(tmp_path, monkeypatch):
 
 
 def test_sweep_prepares_each_run_once(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, core, ["compute_rt", "rt_pairs"])
+    calls = count_calls(monkeypatch, core, ["compute_rt", "rt_graph"])
     out = tmp_path / "sweep"
     assert main(["sweep", "--kind", "weight", "--input",
                  blob_csv(tmp_path / "d.csv"), "--label-fraction", "0.5",
                  "--runs", "2", "--out", str(out)]) == 0
     assert len(list(out.glob("report_*.json"))) == 10
-    assert calls == {"compute_rt": 2, "rt_pairs": 2}
+    assert calls == {"compute_rt": 2, "rt_graph": 2}
 
 
 def test_sweep_fits_each_wall_once_per_run(tmp_path, monkeypatch):

@@ -41,7 +41,7 @@ import sys
 import time
 from pathlib import Path
 
-STAGES = ("build_grid", "compute_rt", "rt_pairs", "compute_density",
+STAGES = ("build_grid", "compute_rt", "rt_graph", "compute_density",
           "compute_dt", "fit_kernel", "pipeline_scores", "pass3_global",
           "pass1_labeled", "pass2_residual", "merge", "match",
           "fit_region_stats", "fit_euclidean_wall", "fit_manhattan_wall")
