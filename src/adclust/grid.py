@@ -5,17 +5,18 @@ min and max (closed upper edge, so the max lands in the last section).
 Neighborhood means are exact multiset means: every mean here is the
 correctly rounded sum of its values divided by their count, which makes
 rt and dt bit-identical under any permutation of the points and lets an
-independent oracle reproduce them exactly with math.fsum. Distance rows
-are summed by _exact_row_sums: one exact split of each row at a power of
-two (_split, Rump, Ogita & Oishi's ExtractVector, 2008) gives a high
-part that sums exactly and a low part whose float sum errs by less than
-a known bound, and a row keeps the result only where that bound
-certifies it (_certify), falling back to fsum otherwise; short lists of
-means are summed by math.fsum; the integer n(p) of a cell by an exact
-integer sum. _exact_prefix_sums applies the same split and the same
-certificate to running sums, giving the sum of any prefix of a row
-(the game's attacker tables use it). Both read inf for a sum past the
-largest float, its correct rounding, where math.fsum raises.
+independent oracle reproduce them exactly with math.fsum. One exact
+split of a row at a power of two (_sigmas, _split: Rump, Ogita &
+Oishi's ExtractVector, 2008) gives a high part that sums exactly and a
+low part whose float sum errs by less than a known bound, and a sum is
+kept only where that bound certifies it (_certify), falling back to
+fsum otherwise. _exact_row_sums sums the rows of a 2-d block this way
+(kernel scores, the game's direct evaluation), _segment_sums the
+segments of a flat array (a(p) of small cells, every d(c)), and
+_exact_prefix_sums the prefixes of a row (the game's attacker tables).
+rt's outer mean is summed by math.fsum, and the integer n(p) of a cell
+by an exact integer sum. All three read inf for a sum past the largest
+float, its correct rounding, where math.fsum raises.
 
 compute_rt computes the distance block of each unordered pair of
 neighboring cells once (_pair_row_sums): its row sums feed a(p) for the
@@ -24,9 +25,13 @@ split fixed before any distance is computed: each cell's sigma comes
 from a bound on its distances to its neighborhood, taken from member
 bounding boxes (_pair_sigmas), and a shared block splits at the larger
 of its two cells' sigmas. The highs then sum exactly across blocks, and
-each point's sum is certified once, by the same _certify. Cells with
-fewer than _SPLIT_ELEMENTS members x neighborhood points, where a split
-does not pay, sum their own rows as before.
+each point's sum is certified once, by the same _certify. The points of
+cells with fewer than _SPLIT_ELEMENTS members x neighborhood points,
+where a shared split does not pay, are summed in one flat pass
+(_flat_row_sums): the (point, neighborhood point) pairs of all those
+cells at once, in chunks of whole points, one _segment_sums segment per
+point. The d(c) of all cells are one more _segment_sums, over a(p) in
+cell order.
 
 build_grid sorts the points by cell key once (a stable np.lexsort) and
 numbers the occupied cells in sorted key order: Grid.keys holds one key
@@ -34,9 +39,11 @@ row per cell, Grid.order the point ids sorted by key (ids ascending
 within a cell) and Grid.starts each cell's offset into order. Every
 per-cell result (neighborhoods, the d(c) and n(c) arrays) follows that
 numbering. A cell's 3^q neighborhood is the set of occupied cells within
-Chebyshev distance 1 of it, itself included; one KD-tree search over the
-occupied keys finds them all (_near_cells), so the cost scales with
-occupied-cell pairs, not with 3^q.
+Chebyshev distance 1 of it, itself included. One Euclidean KD-tree
+search over the occupied keys, at radius sqrt(q + 1/2), finds a
+superset of those cell pairs, and an exact test on the integer keys
+keeps the neighbors (_near_cells), so the cost scales with occupied-cell
+pairs, not with 3^q.
 
 Distance convention: Euclidean, sqrt of the squared differences summed
 in dimension order, float64 throughout (_sq_distances, the package's only
@@ -61,8 +68,9 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
 
-# Largest q * rows * columns of coordinate differences one distance
-# block takes, so its memory stays bounded.
+# Most coordinate differences one distance computation takes (q * rows
+# * columns of a block, q * pairs of a flat chunk), so its memory stays
+# bounded.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Fewest values (rows x columns) a block needs before _exact_row_sums
@@ -130,25 +138,31 @@ def _fmean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _split(x: np.ndarray):
-    """One power-of-two split of each row of x, nonnegative and finite:
-    (x with rows whose sigma would pass 2^1023 zeroed, their high parts,
-    sigma per row, which rows fit).
+def _sigmas(top: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, fits): the split point of w = width values below top, and
+    where it fits a float.
 
-    For a row of width w whose max is below 2^e, sigma = 2^(e + m) with
-    2^m >= w + 2 and u = 2^-53. high = fl(fl(x + sigma) - sigma) is a
-    multiple of 2 u sigma, so the highs of any of the row's values sum
-    exactly in any order, and low = x - high is exact with |low| <= u
-    sigma.
+    sigma = 2^(e + m) with top < 2^e and 2^m >= w + 2, capped at 2^1023;
+    fits is False where the cap was needed.
     """
-    exp = np.frexp(x.max(axis=1))[1] + (x.shape[1] + 1).bit_length()
-    fits = exp <= 1023
+    exp = np.frexp(top)[1] + np.frexp(width + 1.0)[1]
+    return np.ldexp(1.0, np.minimum(exp, 1023)), exp <= 1023
+
+
+def _split(x: np.ndarray, sigma: np.ndarray, fits: np.ndarray):
+    """One power-of-two split of x, nonnegative and finite, at sigma
+    (from _sigmas; sigma and fits broadcast against x): (x with the
+    values that do not fit zeroed, their high parts).
+
+    With u = 2^-53, high = fl(fl(x + sigma) - sigma) is a multiple of
+    2 u sigma, so the highs of any of the w values sum exactly in any
+    order, and low = x - high is exact with |low| <= u sigma.
+    """
     if not fits.all():
-        x = x * fits[:, None]
-    sigma = np.ldexp(1.0, np.minimum(exp, 1023))
-    high = x + sigma[:, None]
-    high -= sigma[:, None]
-    return x, high, sigma, fits
+        x = x * fits
+    high = x + sigma
+    high -= sigma
+    return x, high
 
 
 def _certify(t1: np.ndarray, t2: np.ndarray, bound: np.ndarray):
@@ -194,7 +208,8 @@ def _exact_row_sums(block: np.ndarray) -> np.ndarray:
     width = block.shape[1]
     if block.size < _SPLIT_ELEMENTS:
         return np.array([_fsum(row) for row in block.tolist()])
-    x, high, sigma, fits = _split(block)
+    sigma, fits = _sigmas(block.max(axis=1), width)
+    x, high = _split(block, sigma[:, None], fits[:, None])
     t1 = high.sum(axis=1)
     t2 = np.subtract(x, high, out=high).sum(axis=1)
     total, certified = _certify(t1, t2,
@@ -218,7 +233,8 @@ def _exact_prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     sigma would pass 2^1023, goes to math.fsum of its prefix.
     """
     rows, width = values.shape
-    x, high, sigma, fits = _split(values)
+    sigma, fits = _sigmas(values.max(axis=1), width)
+    x, high = _split(values, sigma[:, None], fits[:, None])
     at = (np.arange(rows)[:, None], ends)
     cum = np.zeros((rows, width + 1))
     np.cumsum(high, axis=1, out=cum[:, 1:])
@@ -231,6 +247,31 @@ def _exact_prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     certified &= fits[:, None]
     for r, j in zip(*np.nonzero(~certified)):
         total[r, j] = _fsum(values[r, :ends[r, j]].tolist())
+    return total
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each segment values[starts[k]:starts[k +
+    1]] of a flat array of nonnegative finite float64 values, bitwise
+    math.fsum (inf where that overflows, as in _fsum); every segment is
+    nonempty.
+
+    _exact_row_sums' split with one sigma per segment, from its max and
+    its width: the highs of a segment of width w sum exactly to t1 and
+    the float sum t2 of its lows errs by less than 2 w^2 u^2 sigma, both
+    summed by np.add.reduceat. A segment keeps fl(t1 + t2) where
+    _certify proves it correctly rounded; every other segment, and every
+    segment whose sigma would pass 2^1023, goes to math.fsum.
+    """
+    heads, width = starts[:-1], np.diff(starts)
+    sigma, fits = _sigmas(np.maximum.reduceat(values, heads), width)
+    x, high = _split(values, np.repeat(sigma, width), np.repeat(fits, width))
+    t1 = np.add.reduceat(high, heads)
+    t2 = np.add.reduceat(np.subtract(x, high, out=high), heads)
+    w = width.astype(np.float64)
+    total, certified = _certify(t1, t2, sigma * (4.0 * w * w * 2.0 ** -106))
+    for k in np.flatnonzero(~(certified & fits)).tolist():
+        total[k] = _fsum(values[starts[k]:starts[k + 1]].tolist())
     return total
 
 
@@ -255,9 +296,8 @@ def _pair_sigmas(points: np.ndarray, grid: Grid, near: np.ndarray,
     ext = np.maximum(np.maximum.reduceat(hi[near], bounds[:-1]) - lo,
                      hi - np.minimum.reduceat(lo[near], bounds[:-1]))[big]
     reach = np.sqrt(_sq_distances(ext.T, np.zeros((ext.shape[1], 1))))
-    exp = np.frexp(reach)[1] + np.frexp(width[big] + 1.0)[1]
     sigma = np.zeros(big.size)
-    sigma[big] = np.ldexp(1.0, exp)
+    sigma[big] = _sigmas(reach, width[big])[0]
     return sigma
 
 
@@ -296,7 +336,7 @@ def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
         nb = near[bounds[c]:bounds[c + 1]]
         theirs = nb[(nb > c) & big[nb]]  # blocks shared with c'
         nb = np.concatenate((nb[(nb == c) | ~big[nb]], theirs))
-        ids = _hood(members, nb)
+        ids = _hood(grid, nb)
         split = ids.size - sizes[theirs].sum()
         s = np.repeat(np.maximum(sigma[nb], sigma[c]), sizes[nb])
         mine = members[c]
@@ -316,7 +356,7 @@ def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
         t1[ids[split:]] += col1
         t2[ids[split:]] += col2
     s_max = np.maximum.reduceat(sigma[near], bounds[:-1])[cells]
-    ids = _hood(members, cells)
+    ids = _hood(grid, cells)
     w = np.repeat(width[cells], sizes[cells]).astype(np.float64)
     total, certified = _certify(
         t1[ids], t2[ids],
@@ -324,7 +364,7 @@ def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
     cell_of = np.repeat(cells, sizes[cells])
     for i in np.flatnonzero(~certified).tolist():
         c = cell_of[i]
-        hood = _hood(members, near[bounds[c]:bounds[c + 1]])
+        hood = _hood(grid, near[bounds[c]:bounds[c + 1]])
         row = np.sqrt(_sq_distances(cols[:, ids[i], None], cols[:, hood]))
         total[i] = _fsum(row.tolist())
     sums = np.empty(points.shape[0])
@@ -410,21 +450,71 @@ def _near_cells(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     Chebyshev distance 1 of it, its own included, are near[bounds[c]:
     bounds[c + 1]], in cell order.
 
-    Only occupied cells are visited: one KD-tree search over the integer
-    keys finds every cell pair at Chebyshev distance <= 1, which is
-    exact on integers.
+    Only occupied cells are visited. Two integer keys within Chebyshev
+    distance 1 of each other are within squared Euclidean distance q, so
+    one Euclidean KD-tree search over the keys at radius sqrt(q + 1/2)
+    finds every such pair (no integer lies in (q, q + 1/2], so the
+    tree's roundings cannot drop one), and the pairs that differ by more
+    than 1 in some coordinate are dropped. This is exact on integers,
+    and cheaper than the tree's Chebyshev search.
     """
-    tree = cKDTree(grid.keys)
-    i, j = tree.query_pairs(1.0, p=np.inf, output_type="ndarray").T
+    keys = grid.keys
+    tree = cKDTree(keys)
+    i, j = tree.query_pairs(math.sqrt(keys.shape[1] + 0.5),
+                            output_type="ndarray").T
+    keep = (np.abs(keys[i] - keys[j]) <= 1).all(axis=1)
     own = np.arange(tree.n)
-    rows, near = np.concatenate((own, i, j)), np.concatenate((own, j, i))
+    rows = np.concatenate((own, i[keep], j[keep]))
+    near = np.concatenate((own, j[keep], i[keep]))
     near = near[np.lexsort((near, rows))]
     return near, np.concatenate(([0], np.cumsum(np.bincount(rows))))
 
 
-def _hood(members: list[np.ndarray], cells: np.ndarray) -> np.ndarray:
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers lo[k]:hi[k] of every k (one k at least), concatenated
+    in order."""
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)
+
+
+def _hood(grid: Grid, cells: np.ndarray) -> np.ndarray:
     """The point ids of the given cells, in that order."""
-    return np.concatenate([members[c] for c in cells.tolist()])
+    return grid.order[_ranges(grid.starts[cells], grid.starts[cells + 1])]
+
+
+def _flat_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
+                   bounds: np.ndarray, width: np.ndarray, cells: np.ndarray):
+    """(ids, sums): the point ids of cells, in cell order, and the
+    correctly rounded sum of each one's distances to its neighborhood,
+    bitwise math.fsum.
+
+    The (point, neighborhood point) pairs of all these cells are taken
+    as one flat list, point by point, each point's neighborhood in cell
+    order: one _sq_distances over the flat pairs and one _segment_sums
+    with a segment per point, in chunks of whole points of at most
+    _BLOCK_ELEMENTS coordinate differences (one point at least), so
+    memory stays bounded whatever N is.
+    """
+    cols = np.ascontiguousarray(points.T)
+    ids = _hood(grid, cells)
+    cell_of = np.repeat(cells, np.diff(grid.starts)[cells])
+    w = width[cell_of]
+    ends = np.cumsum(w)
+    budget = max(1, _BLOCK_ELEMENTS // points.shape[1])
+    sums = np.empty(ids.size)
+    lo = 0
+    while lo < ids.size:
+        base = ends[lo] - w[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, "right")))
+        mine = cell_of[lo:hi]
+        hood = _hood(grid, near[_ranges(bounds[mine], bounds[mine + 1])])
+        sq = _sq_distances(cols[:, np.repeat(ids[lo:hi], w[lo:hi])],
+                           cols[:, hood])
+        sums[lo:hi] = _segment_sums(np.sqrt(sq, out=sq),
+                                    np.r_[0, ends[lo:hi] - base])
+        lo = hi
+    return ids, sums
 
 
 def compute_rt(grid: Grid, points: np.ndarray,
@@ -440,9 +530,10 @@ def compute_rt(grid: Grid, points: np.ndarray,
 
     Cells of at least _SPLIT_ELEMENTS members x neighborhood points
     compute one distance block per neighboring cell pair, at a sigma
-    fixed before any distance (_pair_row_sums). Smaller cells, where a
-    split would not pay, sum their own rows, block by block, with
-    _exact_row_sums.
+    fixed before any distance (_pair_row_sums). The points of all
+    smaller cells, where a shared split would not pay, are summed in
+    one flat pass (_flat_row_sums). The d(c) of every cell with an a(p)
+    come from one _segment_sums over a(p) in cell order.
     """
     if not 0.0 < coef_rt < math.inf:
         raise ValidationError("coef_rt must be positive and finite")
@@ -454,26 +545,20 @@ def compute_rt(grid: Grid, points: np.ndarray,
     if (width == 1).all():
         raise DegenerateGeometryError("degenerate density geometry")
     paired = sizes * width >= _SPLIT_ELEMENTS
-    if paired.any():
-        sums = _pair_row_sums(points, grid, near, bounds, width, paired)
-    cols = np.ascontiguousarray(points.T)
-    members = _members(grid)
+    sums = (_pair_row_sums(points, grid, near, bounds, width, paired)
+            if paired.any() else np.empty(n))
+    small = np.flatnonzero((width > 1) & ~paired)
+    if small.size:
+        ids, flat = _flat_row_sums(points, grid, near, bounds, width, small)
+        sums[ids] = flat
+    cells = np.flatnonzero(width > 1)
+    ids = _hood(grid, cells)
     a_p = np.full(n, np.nan)
+    a_p[ids] = sums[ids] / np.repeat(width[cells] - 1, sizes[cells])
     d_c = np.full(sizes.size, np.nan)
-    for c, (mine, a, b, w, pair) in enumerate(zip(
-            members, bounds.tolist(), bounds[1:].tolist(), width.tolist(),
-            paired.tolist())):
-        if w == 1:
-            continue
-        if pair:
-            a_p[mine] = sums[mine] / (w - 1)
-        else:
-            hood = cols[:, _hood(members, near[a:b])]
-            for lo, sq in _sq_distance_blocks(cols[:, mine], hood):
-                rows = mine[lo:lo + sq.shape[0]]
-                a_p[rows] = _exact_row_sums(np.sqrt(sq)) / (w - 1)
-        d_c[c] = _fmean(a_p[mine].tolist())
-    rt = _fmean(d_c[~np.isnan(d_c)].tolist()) / (q * coef_rt)
+    starts = np.r_[0, np.cumsum(sizes[cells])]
+    d_c[cells] = _segment_sums(a_p[ids], starts) / sizes[cells]
+    rt = _fmean(d_c[cells].tolist()) / (q * coef_rt)
     return rt, a_p, d_c
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from conftest import oracle_distance, oracle_grid_cells, oracle_thresholds
 
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (_SPLIT_ELEMENTS, _exact_prefix_sums,
-                          _exact_row_sums, _near_cells, build_grid,
-                          compute_density, compute_dt, compute_rt,
-                          rt_graph)
+from adclust.grid import (_SPLIT_ELEMENTS, Grid, _exact_prefix_sums,
+                          _exact_row_sums, _near_cells, _segment_sums,
+                          build_grid, compute_density, compute_dt,
+                          compute_rt, rt_graph)
+from adclust.synthetic import Component, MixtureSpec, generate
 from adclust.walls import sample_gaussian
 
 G = _SPLIT_ELEMENTS
@@ -148,6 +150,21 @@ def test_permutation_invariance_with_duplicates():
                                  np.random.default_rng(11))
 
 
+def blobs(n, q, spread, seed):
+    """n points around three normal centers in q dimensions, each
+    coordinate spread by spread (a scalar or one value per point)."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(3, q)) * 3.0
+    return centers[rng.integers(0, 3, size=n)] + \
+        rng.normal(size=(n, q)) * spread
+
+
+def test_permutation_invariance_at_q8():
+    # every cell holds a point or two: all of them take the flat pass
+    assert_permutation_invariant(blobs(300, 8, 0.3, 1),
+                                 np.random.default_rng(11))
+
+
 def test_scale_invariance_of_rt_ratio():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 2))
@@ -178,6 +195,64 @@ def test_occupied_neighborhoods_match_brute_force():
             np.testing.assert_array_equal(ids, expected)
             cells = {tuple(c) for c in grid.cell_of_point[ids].tolist()}
             assert cells <= set(grid.cells)
+
+
+def brute_force_near(keys):
+    """(near, bounds) of _near_cells, from every pair of keys."""
+    hoods = [np.flatnonzero((np.abs(keys - key) <= 1).all(axis=1))
+             for key in keys]
+    sizes = [h.size for h in hoods]
+    return np.concatenate(hoods), np.r_[0, np.cumsum(sizes)]
+
+
+def assert_near_cells_brute_force(grid):
+    near, bounds = _near_cells(grid)
+    o_near, o_bounds = brute_force_near(grid.keys)
+    np.testing.assert_array_equal(near, o_near)
+    np.testing.assert_array_equal(bounds, o_bounds)
+    assert near.dtype == bounds.dtype == np.int64
+
+
+@pytest.mark.parametrize("q", [8, 12])
+def test_near_cells_match_brute_force_at_high_q(q):
+    # half the points spread 0.05, half 0.3; at target_fraction 0.01
+    # the keys run to 99
+    rng = np.random.default_rng(q)
+    pts = blobs(400, q, rng.choice([0.05, 0.3], size=(400, 1)), q)
+    for target_fraction in (0.01, 0.02, 0.075):
+        grid = build_grid(pts, target_fraction)
+        assert_near_cells_brute_force(grid)
+        assert _near_cells(grid)[0].size > len(grid.keys)  # not only self
+    assert grid.sections == 13 and build_grid(pts, 0.01).keys.max() == 99
+
+
+def grid_of_keys(keys):
+    """A grid with one point in each of the given distinct cells."""
+    keys = np.unique(np.asarray(keys, dtype=np.int64), axis=0)
+    n, q = keys.shape
+    return Grid(sections=int(keys.max()) + 1, widths=np.ones(q),
+                cell_of_point=keys, keys=keys, order=np.arange(n),
+                starts=np.arange(n + 1))
+
+
+@pytest.mark.parametrize("q", [5, 8, 12])
+def test_near_cells_at_the_edge_of_the_euclidean_search(q):
+    # base + 1 is 1 away in every coordinate, squared Euclidean distance
+    # exactly q: a neighbor at the edge of the search radius. base + 2 e0
+    # is at squared distance 4 <= q, inside the search, but 2 away in
+    # one coordinate: not a neighbor.
+    base = np.full(q, 5)
+    two = 2 * np.eye(q, dtype=np.int64)[0]
+    grid = grid_of_keys([base, base + 1, base - 1, base + two, base - two,
+                         base + two + 1, base + 3])
+    assert_near_cells_brute_force(grid)
+    near, bounds = _near_cells(grid)
+    keys = grid.keys.tolist()
+    at = keys.index(base.tolist())
+    hood = [keys[c] for c in near[bounds[at]:bounds[at + 1]]]
+    assert (base + 1).tolist() in hood and (base - 1).tolist() in hood
+    assert (base + two).tolist() not in hood
+    assert (base - two).tolist() not in hood
 
 
 def test_rt_over_row_chunks_matches_oracle():
@@ -706,6 +781,68 @@ def test_exact_prefix_sums_huge_rows_go_to_fsum(monkeypatch):
     assert fallbacks == 2 * ends.shape[1]
 
 
+def segment_sums_and_fallbacks(segments, monkeypatch):
+    """_segment_sums over the concatenated segments, math.fsum of each,
+    and how many segments _segment_sums sent to math.fsum."""
+    values = np.concatenate([np.asarray(v, dtype=np.float64)
+                             for v in segments])
+    starts = np.r_[0, np.cumsum([len(v) for v in segments])]
+    sums, fallbacks = sums_and_fallbacks(_segment_sums, monkeypatch, values,
+                                         starts)
+    return sums, np.array([fsum_or_inf(v) for v in segments]), fallbacks
+
+
+def test_segment_sums_match_fsum_on_mixed_segments(monkeypatch):
+    # (segment, whether it goes to fsum), all in one call
+    rng = np.random.default_rng(8)
+    cases = [
+        ([2.5], False),
+        ([0.0], False),
+        (np.zeros(5), False),
+        (rng.uniform(size=100), False),
+        (rng.uniform(size=3) ** 8, False),
+        # a sum that stays subnormal: half the gap below it underflows
+        (rng.integers(0, 1 << 20, size=7) * 5e-324, True),
+        ([5e-324], True),
+        # near 1e300 the split still fits: sigma = 2^(997 + 7)
+        (rng.uniform(0.5, 1.0, size=W) * 1e300, False),
+        (np.r_[1e300, rng.uniform(size=W - 1)], False),
+        # a max at 2^1016 or more puts 64 values' sigma past 2^1023
+        (rng.uniform(0.5, 1.0, size=W) * 2.0 ** 1017, True),
+        (np.full(W, 1e307), True),  # and this sum overflows to inf
+        # an exact half-ulp tie and one just above it, as in the row sums
+        ([1.0, 2.0 ** -53], True),
+        (padded([1.0, 2.0 ** -53, 2.0 ** -108]), True),
+        # sigma = 16: each c is lost to the low before it, so t2 drops
+        # the 3c that lift the exact sum above the tie 1.5 + u; the tail
+        # alone is below half the gap, the bound on the lows' error is not
+        ([1.5, 2.0 ** -53 - 2.0 ** -106] + [1.75 * 2.0 ** -108] * 3, True),
+    ]
+    segments = [v for v, _ in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, expected, fallbacks = segment_sums_and_fallbacks(segments,
+                                                               monkeypatch)
+    assert_bitwise(sums, expected)
+    assert sums[-4] == math.inf and sums[-1] == 1.5 + 2.0 ** -52
+    assert fallbacks == sum(fsum for _, fsum in cases)
+    # the same segments in another order give the same sums
+    perm = np.random.default_rng(9).permutation(len(segments))
+    again, _, _ = segment_sums_and_fallbacks([segments[i] for i in perm],
+                                             monkeypatch)
+    assert_bitwise(again, sums[perm])
+
+
+def test_segment_sums_of_many_widths(monkeypatch):
+    rng = np.random.default_rng(10)
+    segments = [rng.uniform(size=w) * 10.0 ** rng.integers(-30, 30, size=w)
+                for w in rng.integers(1, 300, size=200)]
+    sums, expected, fallbacks = segment_sums_and_fallbacks(segments,
+                                                           monkeypatch)
+    assert_bitwise(sums, expected)
+    assert fallbacks == 0
+
+
 def q2_mixture(scale=1.0):
     """Four Gaussian blobs in 2-d, 5000 points at scale 1, as the
     cluster_q2 benchmark input lays them out."""
@@ -847,3 +984,102 @@ def test_wide_neighborhoods_match_oracle(points, target_fraction):
     assert_bitwise(a_p, o_ap)
     np.testing.assert_array_equal(n_p, o_np)
     assert_cell_means(grid, d_c, n_c, o_dc, o_nc)
+
+
+def rt_on_paths(points, monkeypatch, coef_rt=1.0, target_fraction=0.075):
+    """compute_rt's (rt, a(p), d(c)); the points the flat and the pair
+    path summed, the chunks the flat pass took; and how many sums in
+    all compute_rt sent to math.fsum."""
+    seen = {"flat": 0, "pair": 0, "chunks": 0}
+
+    def flat(*args, flat_row_sums=grid_module._flat_row_sums,
+             segment_sums=grid_module._segment_sums):
+        def chunk(*chunk_args):
+            seen["chunks"] += 1
+            return segment_sums(*chunk_args)
+
+        with monkeypatch.context() as m:
+            m.setattr(grid_module, "_segment_sums", chunk)
+            ids, sums = flat_row_sums(*args)
+        seen["flat"] = ids.size
+        return ids, sums
+
+    def pair(*args, pair_row_sums=grid_module._pair_row_sums):
+        seen["pair"] = int(np.diff(args[1].starts)[args[-1]].sum())
+        return pair_row_sums(*args)
+
+    grid = build_grid(points, target_fraction)
+    with monkeypatch.context() as m:
+        m.setattr(grid_module, "_flat_row_sums", flat)
+        m.setattr(grid_module, "_pair_row_sums", pair)
+        out, fallbacks = sums_and_fallbacks(compute_rt, monkeypatch, grid,
+                                            points, coef_rt)
+    return out, seen, fallbacks
+
+
+@pytest.mark.parametrize("points, pair, chunks", [
+    (blobs(300, 8, 0.3, 1), False, 1),
+    (blobs(600, 8, 0.4, 1), False, 2),
+    (clumps_among_uniform(), True, 6)],
+    ids=["q8_small_cells", "q8_two_chunks", "both_paths"])
+def test_flat_pass_matches_oracle(points, pair, chunks, monkeypatch):
+    (rt, a_p, d_c), seen, _ = rt_on_paths(points, monkeypatch)
+    assert seen["flat"] > 0 and (seen["pair"] > 0) == pair
+    assert seen["chunks"] == chunks
+    assert_rt_matches_oracle(points, rt, a_p, d_c)
+
+
+def test_flat_pass_one_point_per_chunk(monkeypatch):
+    # a budget below every point's neighborhood still takes whole points
+    points = blobs(300, 8, 0.3, 1)
+    (rt, a_p, d_c), seen, _ = rt_on_paths(points, monkeypatch)
+    monkeypatch.setattr(grid_module, "_BLOCK_ELEMENTS", 8)
+    (rt1, a_p1, d_c1), seen1, _ = rt_on_paths(points, monkeypatch)
+    assert seen1["chunks"] == seen1["flat"] == seen["flat"]
+    assert rt1 == rt
+    assert_bitwise(a_p1, a_p)
+    assert_bitwise(d_c1, d_c)
+
+
+def q8_benchmark_input():
+    """The cluster_q8 benchmark input: 675 normal points at the origin,
+    675 abnormal at 8 e1 and 150 never-labelled at 8 e2, unit
+    covariance in 8-d, seed 0."""
+    eye = tuple(tuple(float(i == j) for j in range(8)) for i in range(8))
+    dataset, _ = generate(MixtureSpec(
+        [Component(tuple(8.0 * e for e in eye[axis]) if axis >= 0
+                   else (0.0,) * 8, eye, count, tag)
+         for axis, count, tag in [(-1, 675, "normal"), (0, 675, "abnormal"),
+                                  (1, 150, "unknown")]], 0.02, seed=0))
+    return dataset.points
+
+
+def exact_tie(values):
+    """Whether the exact sum of values lies halfway between two floats."""
+    total = math.fsum(values)
+    return any(2 * sum(map(Fraction, values)) == Fraction(total) +
+               Fraction(math.nextafter(total, toward))
+               for toward in (0.0, math.inf))
+
+
+def test_compute_rt_on_the_q8_benchmark_input_sends_only_ties_to_fsum(
+        monkeypatch):
+    points = q8_benchmark_input()
+    _, seen, fallbacks = rt_on_paths(points, monkeypatch, coef_rt=0.1)
+    # every cell is small, and 716 of the 1500 points are alone in
+    # their neighborhoods
+    assert seen["pair"] == 0 and seen["flat"] == 784
+    sent = []
+
+    def recording_fsum(values, fsum=math.fsum):
+        sent.append(values)
+        return fsum(values)
+
+    monkeypatch.setattr(grid_module.math, "fsum", recording_fsum)
+    compute_rt(build_grid(points), points, 0.1)
+    *rows, outer = sent
+    assert len(sent) == fallbacks and len(outer) == 784  # rt's outer mean
+    # a few values summing into a higher binade often land exactly on a
+    # half-ulp tie, which no error bound can round; every other point's
+    # sum and every d(c) is certified
+    assert len(rows) == 142 and all(map(exact_tie, rows))

@@ -24,10 +24,12 @@ report is built or written.
 Each line runs in a fresh process with one BLAS/OpenMP thread, so its
 peak RSS (ru_maxrss) is its own. A stage time is the inclusive wall time
 of the calls adclust.core makes to it (merge runs inside the three
-passes); every time is the median over --repeat calls. --root picks the
-checkout whose src/ and perfbench/ are imported (default: the one
-holding this script), so one probe can measure two checkouts. Prints one
-JSON object per line.
+passes). _near_cells, the occupied-cell neighbourhood search, is timed
+at the calls adclust.grid makes to it; it lies inside compute_rt, whose
+time includes it. Every time is the median over --repeat calls. --root
+picks the checkout whose src/ and perfbench/ are imported (default: the
+one holding this script), so one probe can measure two checkouts.
+Prints one JSON object per line.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ STAGES = ("build_grid", "compute_rt", "rt_graph", "compute_density",
           "compute_dt", "fit_kernel", "pipeline_scores", "pass3_global",
           "pass1_labeled", "pass2_residual", "merge", "match",
           "fit_region_stats", "fit_euclidean_wall", "fit_manhattan_wall")
+GRID_STAGES = ("_near_cells",)  # called inside compute_rt
 Q8_SIZES = (675, 675, 150)  # cluster_q8's three_blobs sizes
 SWEEP_N = 20_000
 
@@ -76,7 +79,7 @@ def median(values) -> float:
 
 def stage_times(dataset, params, repeat: int) -> dict:
     """Median per-stage and total times of `repeat` adclust() calls."""
-    from adclust import core
+    from adclust import core, grid
 
     times: dict[str, float] = {}
 
@@ -89,8 +92,9 @@ def stage_times(dataset, params, repeat: int) -> dict:
                 times[name] = times.get(name, 0.0) + time.perf_counter() - start
         return call
 
-    for name in STAGES:
-        setattr(core, name, timed(name, getattr(core, name)))
+    for module, names in ((core, STAGES), (grid, GRID_STAGES)):
+        for name in names:
+            setattr(module, name, timed(name, getattr(module, name)))
     runs = []
     for _ in range(repeat):
         times.clear()
@@ -98,7 +102,7 @@ def stage_times(dataset, params, repeat: int) -> dict:
         core.adclust(dataset, params)
         runs.append(dict(times, total=time.perf_counter() - start))
     return {"stages_s": {k: median([r.get(k, 0.0) for r in runs])
-                         for k in ("total",) + STAGES}}
+                         for k in ("total",) + STAGES + GRID_STAGES}}
 
 
 def sweep_times(dataset, params, repeat: int) -> dict:
