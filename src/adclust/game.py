@@ -21,8 +21,8 @@ payoff entry is a correctly rounded mean: the exact sum of the payoffs
 of the objects inside the wall, rounded once, divided by the sample
 size. The objects a radius passes are a prefix of the sample in score
 order, so build_tables takes each t row's entries from one exact prefix
-sum of its payoffs in that order (grid._exact_prefix_sums), and direct
-evaluation sums the masked payoffs with grid._exact_row_sums. Both are
+sum of its payoffs in that order (exact.prefix_sums), and direct
+evaluation sums the masked payoffs with exact.row_sums. Both are
 bitwise math.fsum of the same values, so direct evaluation and table
 lookup agree bitwise whatever the order of the sample, and results do
 not depend on BLAS threading. Contraction toward the wall's own mean
@@ -50,7 +50,7 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
-from .grid import _exact_prefix_sums, _exact_row_sums, _sq_distances
+from .exact import prefix_sums, row_sums, sq_distances
 from .walls import RegionStats, Wall, chi2_quantile, eta_of_alpha, \
     fit_region_stats, sample_gaussian
 
@@ -133,8 +133,8 @@ def apply_attack(points: np.ndarray, mu_g: np.ndarray, t: float) -> np.ndarray:
 
 
 def movement_cost(original: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean distance under grid.py's distance convention."""
-    return np.sqrt(_sq_distances(original.T, moved.T))
+    """Row-wise Euclidean distance under exact.py's distance convention."""
+    return np.sqrt(sq_distances(original.T, moved.T))
 
 
 def _grid_count(step: float) -> int:
@@ -239,7 +239,7 @@ def attacker_utility(util: UtilitySpec, adversary_sample: np.ndarray,
     pay = util.payoff(movement_cost(adversary_sample, moved))
     s = wall.score(moved)
     inside = np.where(s <= wall.radius, pay, 0.0)
-    return float(_exact_row_sums(inside[None, :])[0] / s.size)
+    return float(row_sums(inside[None, :])[0] / s.size)
 
 
 def defender_utility(normal_error, adversary_error, cost_c: float):
@@ -298,8 +298,7 @@ def build_tables(config: GameConfig) -> GameTables:
             e_tab[it] = passed / s.size
             # the samples that pass radius ih are the first passed[ih] in
             # score order, so every entry is one prefix of the sorted pay
-            a_tab[it] = _exact_prefix_sums(pay[order][None, :],
-                                           passed[None, :])[0] / s.size
+            a_tab[it] = prefix_sums(pay[order], passed) / s.size
         attacker.append(a_tab)
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,

@@ -5,18 +5,10 @@ min and max (closed upper edge, so the max lands in the last section).
 Neighborhood means are exact multiset means: every mean here is the
 correctly rounded sum of its values divided by their count, which makes
 rt and dt bit-identical under any permutation of the points and lets an
-independent oracle reproduce them exactly with math.fsum. One exact
-split of a row at a power of two (_sigmas, _split: Rump, Ogita &
-Oishi's ExtractVector, 2008) gives a high part that sums exactly and a
-low part whose float sum errs by less than a known bound, and a sum is
-kept only where that bound certifies it (_certify), falling back to
-fsum otherwise. _exact_row_sums sums the rows of a 2-d block this way
-(kernel scores, the game's direct evaluation), _segment_sums the
-segments of a flat array (a(p) of small cells, every d(c)), and
-_exact_prefix_sums the prefixes of a row (the game's attacker tables).
-rt's outer mean is summed by math.fsum, and the integer n(p) of a cell
-by an exact integer sum. All three read inf for a sum past the largest
-float, its correct rounding, where math.fsum raises.
+independent oracle reproduce them exactly with math.fsum. The distances
+and the certified sums come from exact.py, with their proofs. rt's
+outer mean is summed by math.fsum, and the integer n(p) of a cell by an
+exact integer sum.
 
 compute_rt computes the distance block of each unordered pair of
 neighboring cells once (_pair_row_sums): its row sums feed a(p) for the
@@ -25,13 +17,13 @@ split fixed before any distance is computed: each cell's sigma comes
 from a bound on its distances to its neighborhood, taken from member
 bounding boxes (_pair_sigmas), and a shared block splits at the larger
 of its two cells' sigmas. The highs then sum exactly across blocks, and
-each point's sum is certified once, by the same _certify. The points of
+each point's sum is certified once, by exact.certify. The points of
 cells with fewer than _SPLIT_ELEMENTS members x neighborhood points,
 where a shared split does not pay, are summed in one flat pass
 (_flat_row_sums): the (point, neighborhood point) pairs of all those
-cells at once, in chunks of whole points, one _segment_sums segment per
-point. The d(c) of all cells are one more _segment_sums, over a(p) in
-cell order.
+cells at once, in chunks of whole points, one exact.segment_sums
+segment per point. The d(c) of all cells are one more segment_sums,
+over a(p) in cell order.
 
 build_grid sorts the points by cell key once (a stable np.lexsort) and
 numbers the occupied cells in sorted key order: Grid.keys holds one key
@@ -45,16 +37,14 @@ superset of those cell pairs, and an exact test on the integer keys
 keeps the neighbors (_near_cells), so the cost scales with occupied-cell
 pairs, not with 3^q.
 
-Distance convention: Euclidean, sqrt of the squared differences summed
-in dimension order, float64 throughout (_sq_distances, the package's only
-squared distance; kernel.py and the game's movement cost use it too).
-_sq_distance_blocks yields many-to-many blocks in chunks of the one
-_BLOCK_ELEMENTS budget. rt_graph is the one closed rt-pair kernel (a
-pair at exactly rt connects) and returns the graph as one CSR upper
-triangle. core.prepare() builds it once per stage; density, pass-1
-conflicts and every merge read it, a merge taking the subgraph its
-participants induce. Distances that overflow, or distinct points whose
-distances all underflow to zero, raise ValidationError (CLI exit 2).
+Distances follow exact.py's convention (exact.sq_distances, squared
+differences summed in dimension order). rt_graph is the one closed
+rt-pair kernel (a pair at exactly rt connects) and returns the graph as
+one CSR upper triangle. core.prepare() builds it once per stage;
+density, pass-1 conflicts and every merge read it, a merge taking the
+subgraph its participants induce. Distances that overflow, or distinct
+points whose distances all underflow to zero, raise ValidationError
+(CLI exit 2).
 """
 from __future__ import annotations
 
@@ -67,15 +57,13 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, ValidationError
+from .exact import (BLOCK_ELEMENTS, certify, fmean, fsum, segment_sums,
+                    sigmas, split, sq_distance_blocks, sq_distances)
 
-# Most coordinate differences one distance computation takes (q * rows
-# * columns of a block, q * pairs of a flat chunk), so its memory stays
-# bounded.
-_BLOCK_ELEMENTS = 1 << 15
-
-# Fewest values (rows x columns) a block needs before _exact_row_sums
-# splits its rows at a power of two; smaller blocks go row by row to
-# math.fsum, which is faster there (the two cross near 800-900 values).
+# Fewest values (members x neighborhood points) a cell needs before
+# compute_rt sums it on the pair path, one distance block per
+# neighboring cell pair at a shared split; the points of smaller cells
+# go to the flat pass.
 _SPLIT_ELEMENTS = 1024
 
 
@@ -134,147 +122,6 @@ class DensityProfile:
     density_point: np.ndarray
 
 
-def _fmean(values: list[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _sigmas(top: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, fits): the split point of w = width values below top, and
-    where it fits a float.
-
-    sigma = 2^(e + m) with top < 2^e and 2^m >= w + 2, capped at 2^1023;
-    fits is False where the cap was needed.
-    """
-    exp = np.frexp(top)[1] + np.frexp(width + 1.0)[1]
-    return np.ldexp(1.0, np.minimum(exp, 1023)), exp <= 1023
-
-
-def _split(x: np.ndarray, sigma: np.ndarray, fits: np.ndarray):
-    """One power-of-two split of x, nonnegative and finite, at sigma
-    (from _sigmas; sigma and fits broadcast against x): (x with the
-    values that do not fit zeroed, their high parts).
-
-    With u = 2^-53, high = fl(fl(x + sigma) - sigma) is a multiple of
-    2 u sigma, so the highs of any of the w values sum exactly in any
-    order, and low = x - high is exact with |low| <= u sigma.
-    """
-    if not fits.all():
-        x = x * fits
-    high = x + sigma
-    high -= sigma
-    return x, high
-
-
-def _certify(t1: np.ndarray, t2: np.ndarray, bound: np.ndarray):
-    """fl(t1 + t2), and where it is the correctly rounded sum of values
-    >= 0 whose highs sum exactly to t1 and whose lows sum to within bound
-    of t2: where bound plus the exact tail of t1 + t2 is strictly below
-    half the gap to the next float down (the certificate behind
-    AccSum/NearSum), and where t1 + t2 rounds to zero (which values >= 0
-    do only when all are zero). bound must be twice the lows' error bound,
-    to cover the comparison's own roundings; one that underflows is
-    still safe, since every error is a multiple of the subnormal step.
-    """
-    total = t1 + t2
-    z = total - t1
-    tail = (t1 - (total - z)) + (t2 - z)
-    half_gap = 0.5 * (total - np.nextafter(total, 0.0))
-    return total, (bound < half_gap - np.abs(tail)) | (total == 0.0)
-
-
-def _fsum(values: list[float]) -> float:
-    """math.fsum of values >= 0; inf where their sum overflows, which is
-    then its correct rounding."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
-
-
-def _exact_row_sums(block: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-d block of nonnegative
-    finite float64 values, bitwise equal to math.fsum(row) (inf where
-    that overflows, as in _fsum).
-
-    Blocks of at least _SPLIT_ELEMENTS values split every row once at a
-    power of two (_split: ExtractVector, the first step of AccSum in
-    Rump, Ogita & Oishi, "Accurate floating-point summation, Part I",
-    SIAM J. Sci. Comput. 2008). The highs of a row of width w sum
-    exactly to t1, and the float sum t2 of its lows errs by less than
-    2 w^2 u^2 sigma. A row keeps fl(t1 + t2) only where _certify proves
-    it correctly rounded. Every other row, rows whose sigma would pass
-    2^1023, and every row of a smaller block go to math.fsum.
-    """
-    width = block.shape[1]
-    if block.size < _SPLIT_ELEMENTS:
-        return np.array([_fsum(row) for row in block.tolist()])
-    sigma, fits = _sigmas(block.max(axis=1), width)
-    x, high = _split(block, sigma[:, None], fits[:, None])
-    t1 = high.sum(axis=1)
-    t2 = np.subtract(x, high, out=high).sum(axis=1)
-    total, certified = _certify(t1, t2,
-                                sigma * (4.0 * width * width * 2.0 ** -106))
-    for i in np.flatnonzero(~(certified & fits)).tolist():
-        total[i] = _fsum(block[i].tolist())
-    return total
-
-
-def _exact_prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Correctly rounded sums of row prefixes: out[r, j] is bitwise
-    math.fsum(values[r, :ends[r, j]]) (inf where that overflows, as in
-    _fsum), for a 2-d block of nonnegative finite float64 values and
-    integer ends in [0, width].
-
-    One _split per row, as in _exact_row_sums: the running sums of the
-    highs are exact, and the running float sum of the lows errs by less
-    than 2 k^2 u^2 sigma after k values (whatever the order of the
-    additions). Each end keeps fl(t1 + t2) where _certify proves it
-    correctly rounded; every other end, and every end of a row whose
-    sigma would pass 2^1023, goes to math.fsum of its prefix.
-    """
-    rows, width = values.shape
-    sigma, fits = _sigmas(values.max(axis=1), width)
-    x, high = _split(values, sigma[:, None], fits[:, None])
-    at = (np.arange(rows)[:, None], ends)
-    cum = np.zeros((rows, width + 1))
-    np.cumsum(high, axis=1, out=cum[:, 1:])
-    t1 = cum[at]
-    np.cumsum(np.subtract(x, high, out=high), axis=1, out=cum[:, 1:])
-    t2 = cum[at]
-    k = ends.astype(np.float64)
-    total, certified = _certify(t1, t2,
-                                sigma[:, None] * (4.0 * k * k * 2.0 ** -106))
-    certified &= fits[:, None]
-    for r, j in zip(*np.nonzero(~certified)):
-        total[r, j] = _fsum(values[r, :ends[r, j]].tolist())
-    return total
-
-
-def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each segment values[starts[k]:starts[k +
-    1]] of a flat array of nonnegative finite float64 values, bitwise
-    math.fsum (inf where that overflows, as in _fsum); every segment is
-    nonempty.
-
-    _exact_row_sums' split with one sigma per segment, from its max and
-    its width: the highs of a segment of width w sum exactly to t1 and
-    the float sum t2 of its lows errs by less than 2 w^2 u^2 sigma, both
-    summed by np.add.reduceat. A segment keeps fl(t1 + t2) where
-    _certify proves it correctly rounded; every other segment, and every
-    segment whose sigma would pass 2^1023, goes to math.fsum.
-    """
-    heads, width = starts[:-1], np.diff(starts)
-    sigma, fits = _sigmas(np.maximum.reduceat(values, heads), width)
-    x, high = _split(values, np.repeat(sigma, width), np.repeat(fits, width))
-    t1 = np.add.reduceat(high, heads)
-    t2 = np.add.reduceat(np.subtract(x, high, out=high), heads)
-    w = width.astype(np.float64)
-    total, certified = _certify(t1, t2, sigma * (4.0 * w * w * 2.0 ** -106))
-    for k in np.flatnonzero(~(certified & fits)).tolist():
-        total[k] = _fsum(values[starts[k]:starts[k + 1]].tolist())
-    return total
-
-
 def _pair_sigmas(points: np.ndarray, grid: Grid, near: np.ndarray,
                  bounds: np.ndarray, width: np.ndarray, big: np.ndarray):
     """The sigma of each cell of big, the cells on the pair path; 0
@@ -295,9 +142,9 @@ def _pair_sigmas(points: np.ndarray, grid: Grid, near: np.ndarray,
     hi = np.maximum.reduceat(ranked, starts)
     ext = np.maximum(np.maximum.reduceat(hi[near], bounds[:-1]) - lo,
                      hi - np.minimum.reduceat(lo[near], bounds[:-1]))[big]
-    reach = np.sqrt(_sq_distances(ext.T, np.zeros((ext.shape[1], 1))))
+    reach = np.sqrt(sq_distances(ext.T, np.zeros((ext.shape[1], 1))))
     sigma = np.zeros(big.size)
-    sigma[big] = _sigmas(reach, width[big])[0]
+    sigma[big] = sigmas(reach, width[big])[0]
     return sigma
 
 
@@ -319,10 +166,10 @@ def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
     s grows: they sum exactly to t1 across blocks. The w lows, each at
     most u s_max with s_max the largest s of the point's blocks, sum in
     float to within 2 w^2 u^2 s_max of t2 in any order, the bound of
-    _exact_row_sums with s_max for sigma. This is fixed-boundary
+    exact.certify with s_max for sigma. This is fixed-boundary
     pre-rounding (Demmel & Nguyen, "Parallel reproducible summation",
     IEEE TC 2015; the a priori sigma of Rump, Ogita & Oishi's AccSum).
-    A point keeps fl(t1 + t2) where _certify proves it correctly
+    A point keeps fl(t1 + t2) where certify proves it correctly
     rounded; every other point recomputes its row for math.fsum.
     """
     sigma = _pair_sigmas(points, grid, near, bounds, width, big)
@@ -337,59 +184,36 @@ def _pair_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
         theirs = nb[(nb > c) & big[nb]]  # blocks shared with c'
         nb = np.concatenate((nb[(nb == c) | ~big[nb]], theirs))
         ids = _hood(grid, nb)
-        split = ids.size - sizes[theirs].sum()
+        mid = ids.size - sizes[theirs].sum()  # columns of c' from here on
         s = np.repeat(np.maximum(sigma[nb], sigma[c]), sizes[nb])
         mine = members[c]
         row1, row2 = np.empty(mine.size), np.empty(mine.size)
-        col1, col2 = np.zeros(ids.size - split), np.zeros(ids.size - split)
-        for lo, x in _sq_distance_blocks(cols[:, mine], cols[:, ids]):
-            x = np.sqrt(x, out=x)
-            high = x + s
-            high -= s
+        col1, col2 = np.zeros(ids.size - mid), np.zeros(ids.size - mid)
+        for lo, x in sq_distance_blocks(cols[:, mine], cols[:, ids]):
+            x, high = split(np.sqrt(x, out=x), s)
             low = np.subtract(x, high, out=x)
             high.sum(axis=1, out=row1[lo:lo + x.shape[0]])
             low.sum(axis=1, out=row2[lo:lo + x.shape[0]])
-            col1 += high[:, split:].sum(axis=0)
-            col2 += low[:, split:].sum(axis=0)
+            col1 += high[:, mid:].sum(axis=0)
+            col2 += low[:, mid:].sum(axis=0)
         t1[mine] += row1
         t2[mine] += row2
-        t1[ids[split:]] += col1
-        t2[ids[split:]] += col2
+        t1[ids[mid:]] += col1
+        t2[ids[mid:]] += col2
     s_max = np.maximum.reduceat(sigma[near], bounds[:-1])[cells]
     ids = _hood(grid, cells)
-    w = np.repeat(width[cells], sizes[cells]).astype(np.float64)
-    total, certified = _certify(
-        t1[ids], t2[ids],
-        np.repeat(s_max, sizes[cells]) * (4.0 * w * w * 2.0 ** -106))
+    total, certified = certify(t1[ids], t2[ids],
+                               np.repeat(s_max, sizes[cells]),
+                               np.repeat(width[cells], sizes[cells]))
     cell_of = np.repeat(cells, sizes[cells])
     for i in np.flatnonzero(~certified).tolist():
         c = cell_of[i]
         hood = _hood(grid, near[bounds[c]:bounds[c + 1]])
-        row = np.sqrt(_sq_distances(cols[:, ids[i], None], cols[:, hood]))
-        total[i] = _fsum(row.tolist())
+        row = np.sqrt(sq_distances(cols[:, ids[i], None], cols[:, hood]))
+        total[i] = fsum(row.tolist())
     sums = np.empty(points.shape[0])
     sums[ids] = total
     return sums
-
-
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared differences summed in dimension order; a and b hold one
-    coordinate per row and broadcast along their remaining axes."""
-    total = a[0] - b[0]
-    total *= total  # the first sum, 0 + total, is total itself
-    for x, y in zip(a[1:], b[1:]):
-        sq = x - y
-        sq *= sq
-        total += sq
-    return total
-
-
-def _sq_distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (lo, squared distances of points lo:lo + step of a to every
-    point of b), a and b dimension-major, each chunk in _BLOCK_ELEMENTS."""
-    step = max(1, _BLOCK_ELEMENTS // max(b.size, 1))
-    for lo in range(0, a.shape[1], step):
-        yield lo, _sq_distances(a[:, lo:lo + step, None], b[:, None, :])
 
 
 def _check_extent(points: np.ndarray) -> None:
@@ -398,7 +222,7 @@ def _check_extent(points: np.ndarray) -> None:
     over a nonzero extent means every distance underflows to zero."""
     lo, hi = points.min(axis=0), points.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = _sq_distances(hi[:, None], lo[:, None])
+        diagonal = sq_distances(hi[:, None], lo[:, None])
     if not np.isfinite(diagonal).all():
         raise ValidationError("coordinate ranges too large: squared "
                               "distances overflow")
@@ -491,9 +315,9 @@ def _flat_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
 
     The (point, neighborhood point) pairs of all these cells are taken
     as one flat list, point by point, each point's neighborhood in cell
-    order: one _sq_distances over the flat pairs and one _segment_sums
+    order: one sq_distances over the flat pairs and one segment_sums
     with a segment per point, in chunks of whole points of at most
-    _BLOCK_ELEMENTS coordinate differences (one point at least), so
+    BLOCK_ELEMENTS coordinate differences (one point at least), so
     memory stays bounded whatever N is.
     """
     cols = np.ascontiguousarray(points.T)
@@ -501,7 +325,7 @@ def _flat_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
     cell_of = np.repeat(cells, np.diff(grid.starts)[cells])
     w = width[cell_of]
     ends = np.cumsum(w)
-    budget = max(1, _BLOCK_ELEMENTS // points.shape[1])
+    budget = max(1, BLOCK_ELEMENTS // points.shape[1])
     sums = np.empty(ids.size)
     lo = 0
     while lo < ids.size:
@@ -509,10 +333,10 @@ def _flat_row_sums(points: np.ndarray, grid: Grid, near: np.ndarray,
         hi = max(lo + 1, int(np.searchsorted(ends, base + budget, "right")))
         mine = cell_of[lo:hi]
         hood = _hood(grid, near[_ranges(bounds[mine], bounds[mine + 1])])
-        sq = _sq_distances(cols[:, np.repeat(ids[lo:hi], w[lo:hi])],
-                           cols[:, hood])
-        sums[lo:hi] = _segment_sums(np.sqrt(sq, out=sq),
-                                    np.r_[0, ends[lo:hi] - base])
+        sq = sq_distances(cols[:, np.repeat(ids[lo:hi], w[lo:hi])],
+                          cols[:, hood])
+        sums[lo:hi] = segment_sums(np.sqrt(sq, out=sq),
+                                   np.r_[0, ends[lo:hi] - base])
         lo = hi
     return ids, sums
 
@@ -533,7 +357,7 @@ def compute_rt(grid: Grid, points: np.ndarray,
     fixed before any distance (_pair_row_sums). The points of all
     smaller cells, where a shared split would not pay, are summed in
     one flat pass (_flat_row_sums). The d(c) of every cell with an a(p)
-    come from one _segment_sums over a(p) in cell order.
+    come from one segment_sums over a(p) in cell order.
     """
     if not 0.0 < coef_rt < math.inf:
         raise ValidationError("coef_rt must be positive and finite")
@@ -557,8 +381,8 @@ def compute_rt(grid: Grid, points: np.ndarray,
     a_p[ids] = sums[ids] / np.repeat(width[cells] - 1, sizes[cells])
     d_c = np.full(sizes.size, np.nan)
     starts = np.r_[0, np.cumsum(sizes[cells])]
-    d_c[cells] = _segment_sums(a_p[ids], starts) / sizes[cells]
-    rt = _fmean(d_c[cells].tolist()) / (q * coef_rt)
+    d_c[cells] = segment_sums(a_p[ids], starts) / sizes[cells]
+    rt = fmean(d_c[cells].tolist()) / (q * coef_rt)
     return rt, a_p, d_c
 
 
@@ -577,7 +401,7 @@ def rt_graph(points: np.ndarray, rt: float) -> csr_matrix:
     reach = rt * (1.0 + 4 * (q + 2) * np.finfo(np.float64).eps)
     i, j = cKDTree(points).query_pairs(reach, output_type="ndarray").T
     cols = np.ascontiguousarray(points.T)
-    keep = np.sqrt(_sq_distances(cols[:, i], cols[:, j])) <= rt
+    keep = np.sqrt(sq_distances(cols[:, i], cols[:, j])) <= rt
     # sorting i * N + j orders the edges by row, columns ascending
     i, j = np.divmod(np.sort(i[keep] * n + j[keep]), n)
     indptr = np.searchsorted(i, np.arange(n + 1))
@@ -634,5 +458,5 @@ def compute_dt(grid: Grid, n_p: np.ndarray, coef_dt: float = 0.95,
     starts = grid.starts
     n_c = np.add.reduceat(n_p[grid.order], starts[:-1]) / np.diff(starts)
     log_n = math.log(n) / math.log(log_base)
-    dt = _fmean(n_c.tolist()) / log_n * coef_dt
+    dt = fmean(n_c.tolist()) / log_n * coef_dt
     return dt, n_c

@@ -3,12 +3,12 @@
 The classifier is a Nadaraya-Watson regressor over the handful of
 labeled points: b(p) = sum_i y_i K(p, x_i) / sum_i K(p, x_i) with
 K(p, x) = exp(-||p - x||^2 / (2 bandwidth^2)) and y = 1 for normal,
-0 for abnormal. ||p - x|| and the default bandwidth follow grid.py's
+0 for abnormal. ||p - x|| and the default bandwidth follow exact.py's
 distance convention (squared differences summed in dimension order).
-Kernel sums are correctly rounded (grid._exact_row_sums: one exact
-split of each row at a power of two, certified by an error bound, with
-an fsum fallback; after Rump, Ogita & Oishi's ExtractVector/AccSum,
-2008), so scores do not depend on the order of the labeled points.
+Kernel sums are correctly rounded (exact.row_sums: one exact split of
+each row at a power of two, certified by an error bound, with an fsum
+fallback; after Rump, Ogita & Oishi's ExtractVector/AccSum, 2008), so
+scores do not depend on the order of the labeled points.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import LABEL_NONE, Dataset
 from .errors import InsufficientLabelsError, ValidationError
-from .grid import _exact_row_sums, _sq_distance_blocks
+from .exact import row_sums, sq_distance_blocks
 
 BANDWIDTH_FLOOR = 1e-12
 
@@ -37,7 +37,7 @@ def median_pairwise_distance(points: np.ndarray) -> float:
         raise ValidationError("need at least two points for a pairwise median")
     ids = np.arange(n)
     dists = [np.sqrt(sq[ids > ids[lo:lo + sq.shape[0], None]])
-             for lo, sq in _sq_distance_blocks(points.T, points.T)]
+             for lo, sq in sq_distance_blocks(points.T, points.T)]
     return float(np.median(np.concatenate(dists)))
 
 
@@ -75,12 +75,12 @@ def score(clf: KernelClassifier,
     m = points.shape[0]
     b = np.empty(m)
     flat = np.zeros(m, dtype=bool)
-    for lo, sq in _sq_distance_blocks(points.T, clf.labeled_points.T):
+    for lo, sq in sq_distance_blocks(points.T, clf.labeled_points.T):
         rows = slice(lo, lo + sq.shape[0])
         k = np.exp(-sq / denom2)
-        den = _exact_row_sums(k)
+        den = row_sums(k)
         flat[rows] = den == 0.0
-        b[rows] = np.divide(_exact_row_sums(k * clf.labels01), den,
+        b[rows] = np.divide(row_sums(k * clf.labels01), den,
                             out=np.full(den.size, 0.5), where=~flat[rows])
     return b, flat
 

@@ -10,10 +10,11 @@ inside).
 
 Both scores work on dimension-major (q, n) deviations, taken once per
 call as one C-ordered subtraction, and sum their q per-dimension terms
-in dimension order (_dimension_sum, the convention of grid._sq_distances):
-Mahalanobis sum_i d_i * (Sigma^-1 d)_i with Sigma^-1 d from the Cholesky
-factor, scaled L1 sum_i |d_i| / std_i. Every step runs along the n
-points, and a score does not depend on the memory layout of its input.
+in dimension order (exact.dimension_sum, the convention of
+exact.sq_distances): Mahalanobis sum_i d_i * (Sigma^-1 d)_i with
+Sigma^-1 d from the Cholesky factor, scaled L1 sum_i |d_i| / std_i.
+Every step runs along the n points, and a score does not depend on the
+memory layout of its input.
 
 sample_gaussian, default_rng(seed) normals times the Cholesky factor
 plus the mean, is the package's only Gaussian sampler: it draws the
@@ -28,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaincinv
 
 from .errors import DegenerateRegionError, ValidationError
+from .exact import dimension_sum
 
 RIDGE_SCALE = 1e-9
 ABS_RIDGE = 1e-12
@@ -92,21 +94,12 @@ def _deviations(mean: np.ndarray, points) -> np.ndarray:
     return np.subtract(points.T, mean[:, None], order="C")
 
 
-def _dimension_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis in dimension order: zeros, then += each
-    row."""
-    total = np.zeros(terms.shape[1:])
-    for row in terms:
-        total += row
-    return total
-
-
 def scaled_l1_score(stats: RegionStats, points: np.ndarray) -> np.ndarray:
     """Per-row sum_i |x_i - mean_i| / std_i, the Manhattan wall's score."""
     terms = _deviations(stats.mean, points)
     np.abs(terms, out=terms)
     terms /= stats.stddevs[:, None]
-    return _dimension_sum(terms)
+    return dimension_sum(terms)
 
 
 def chi2_quantile(dof: int, alpha: float) -> float:
@@ -146,7 +139,7 @@ class Wall:
     def mahalanobis_sq(self, points: np.ndarray) -> np.ndarray:
         diffs = _deviations(self.stats.mean, points)
         diffs *= cho_solve(self._cho, diffs)
-        return _dimension_sum(diffs)
+        return dimension_sum(diffs)
 
     def scaled_l1(self, points: np.ndarray) -> np.ndarray:
         return scaled_l1_score(self.stats, points)

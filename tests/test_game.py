@@ -151,7 +151,7 @@ def test_table_cells_are_correctly_rounded_means():
 
 
 def test_attacker_utility_ignores_sample_order():
-    # 2000 draws: the direct sum takes the split of _exact_row_sums
+    # 2000 draws, summed by exact.row_sums as one row of 2000
     config = small_config(sample_size=2000)
     tables = build_tables(config)
     sample = draw(config.adversaries[0])

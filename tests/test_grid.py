@@ -1,4 +1,5 @@
-"""Grid sectioning and threshold computation."""
+"""Grid sectioning and threshold computation, and the edge cases of
+exact.py's certified sums (test_exact_*, test_segment_sums_*)."""
 from __future__ import annotations
 
 import math
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 from conftest import oracle_distance, oracle_grid_cells, oracle_thresholds
 
+from adclust import exact
 from adclust import grid as grid_module
 from adclust.errors import DegenerateGeometryError, ValidationError
-from adclust.grid import (_SPLIT_ELEMENTS, Grid, _exact_prefix_sums,
-                          _exact_row_sums, _near_cells, _segment_sums,
-                          build_grid, compute_density, compute_dt,
-                          compute_rt, rt_graph)
+from adclust.exact import prefix_sums, row_sums, segment_sums
+from adclust.grid import (_SPLIT_ELEMENTS, Grid, _near_cells, build_grid,
+                          compute_density, compute_dt, compute_rt, rt_graph)
 from adclust.synthetic import Component, MixtureSpec, generate
 from adclust.walls import sample_gaussian
 
@@ -480,14 +481,14 @@ def sums_and_fallbacks(sums_of, monkeypatch, *args):
         return fsum(values)
 
     with monkeypatch.context() as m:
-        m.setattr(grid_module.math, "fsum", counting_fsum)
+        m.setattr(math, "fsum", counting_fsum)
         sums = sums_of(*args)
     return sums, len(calls)
 
 
 def row_sums_and_fallbacks(block, monkeypatch):
-    """_exact_row_sums(block) and how many rows it sent to math.fsum."""
-    return sums_and_fallbacks(_exact_row_sums, monkeypatch, block)
+    """row_sums(block) and how many rows it sent to math.fsum."""
+    return sums_and_fallbacks(row_sums, monkeypatch, block)
 
 
 def assert_bitwise(a, b):
@@ -499,13 +500,6 @@ def padded(values, width=W):
     row = np.zeros(width)
     row[:len(values)] = values
     return row
-
-
-def with_zero_rows(block):
-    """block on top of enough all-zero rows to reach _SPLIT_ELEMENTS
-    values, so it takes the split; zero rows never go to math.fsum."""
-    rows = max(len(block), -(-G // block.shape[1]))
-    return np.vstack([block, np.zeros((rows - len(block), block.shape[1]))])
 
 
 def test_exact_row_sums_send_half_ulp_ties_to_fsum(monkeypatch):
@@ -521,15 +515,14 @@ def test_exact_row_sums_send_half_ulp_ties_to_fsum(monkeypatch):
         # just above the tie between 3 and 3 + 4u
         padded([3.0, 2 * u, u ** 3]),
     ])
-    block = with_zero_rows(ties)
-    expected = fsum_rows(block)
-    assert expected[:4].tolist() == [1.0, 1.0 + 2 * u, 1.0 + 2 * u, 3.0 + 4 * u]
-    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    expected = fsum_rows(ties)
+    assert expected.tolist() == [1.0, 1.0 + 2 * u, 1.0 + 2 * u, 3.0 + 4 * u]
+    sums, fallbacks = row_sums_and_fallbacks(ties, monkeypatch)
     assert_bitwise(sums, expected)
     assert fallbacks == len(ties)
     # shuffled columns reach the same sums
     perm = np.random.default_rng(1).permutation(W)
-    assert_bitwise(_exact_row_sums(block[:, perm]), expected)
+    assert_bitwise(row_sums(ties[:, perm]), expected)
 
 
 def test_exact_row_sums_bound_the_error_of_lo(monkeypatch):
@@ -544,9 +537,8 @@ def test_exact_row_sums_bound_the_error_of_lo(monkeypatch):
     row = np.zeros(W)
     row[0], row[1] = 1.5, u - 2.0 ** -106
     row[[9, 17, 25]] = c
-    sums, fallbacks = row_sums_and_fallbacks(with_zero_rows(row[None]),
-                                             monkeypatch)
-    assert_bitwise(sums[:1], np.array([1.5 + 2 * u]))
+    sums, fallbacks = row_sums_and_fallbacks(row[None], monkeypatch)
+    assert_bitwise(sums, np.array([1.5 + 2 * u]))
     assert math.fsum(row) == 1.5 + 2 * u
     assert fallbacks == 1
 
@@ -563,12 +555,10 @@ def test_exact_row_sums_zeros_and_single_values(monkeypatch):
     block = np.zeros((3, W))
     block[1, 17] = 0.1
     block[2, W - 1] = 5e-324
-    sums, fallbacks = row_sums_and_fallbacks(with_zero_rows(block),
-                                             monkeypatch)
-    assert_bitwise(sums[:3], np.array([0.0, 0.1, 5e-324]))
-    assert not sums[3:].any()
+    sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
+    assert_bitwise(sums, np.array([0.0, 0.1, 5e-324]))
     assert fallbacks == 1  # half the gap above 5e-324 underflows to 0
-    assert_bitwise(_exact_row_sums(np.array([[2.5], [0.0]])),
+    assert_bitwise(row_sums(np.array([[2.5], [0.0]])),
                    np.array([2.5, 0.0]))
 
 
@@ -580,36 +570,34 @@ def test_exact_row_sums_subnormals_and_wide_exponent_range():
     spread = rng.uniform(size=(16, W)) * 10.0 ** rng.integers(-300, 300,
                                                               size=(16, W))
     for block in (tiny, mixed, spread):
-        assert block.size >= G
-        assert_bitwise(_exact_row_sums(block), fsum_rows(block))
+        assert_bitwise(row_sums(block), fsum_rows(block))
 
 
 @pytest.mark.parametrize("width", [G // 16 - 1, G // 16, G // 16 + 1])
 def test_exact_row_sums_at_the_width_gate(width, monkeypatch):
     # 16 rows: these widths put the block just below, at and just above
-    # the gate on rows x columns.
+    # _SPLIT_ELEMENTS values, where compute_rt's pair path starts;
+    # row_sums takes the split at every size, and only the tie goes to
+    # fsum.
     rng = np.random.default_rng(width)
     block = rng.uniform(size=(16, width)) ** 3
     block[0] = padded([1.0, 2.0 ** -53, 2.0 ** -108], width)
     sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, fsum_rows(block))
-    assert fallbacks == (16 if block.size < G else 1)
+    assert fallbacks == 1
 
 
-@pytest.mark.parametrize("rows, width, split", [
-    (1, 2 * W, False), (2, 2 * W, False), (G // 8, 8, True)],
-    ids=["1x128", "2x128", "128x8"])
-def test_exact_row_sums_gate_on_elements_not_width(rows, width, split,
-                                                   monkeypatch):
+@pytest.mark.parametrize("rows, width", [(1, 2 * W), (2, 2 * W), (G // 8, 8)],
+                         ids=["1x128", "2x128", "128x8"])
+def test_exact_row_sums_gate_on_elements_not_width(rows, width, monkeypatch):
+    # a few wide rows and many narrow ones both take the split: row_sums
+    # has no gate on rows x columns
     block = np.sqrt(np.random.default_rng(rows).uniform(size=(rows, width)))
     sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, fsum_rows(block))
-    if split:
-        # sums of 8 values often land on exact half-ulp ties, which still
-        # go to fsum
-        assert fallbacks < rows // 4
-    else:
-        assert fallbacks == rows
+    # sums of 8 values often land on exact half-ulp ties, which still go
+    # to fsum; these sums of 128 do not
+    assert fallbacks < max(1, rows // 4)
 
 
 @pytest.mark.parametrize("width", [126, 254])
@@ -634,7 +622,6 @@ def test_exact_row_sums_row_max_a_power_of_two(monkeypatch):
     tops = 2.0 ** np.arange(-30, 31, 4)
     block = rng.uniform(size=(tops.size, W)) * tops[:, None]
     block[:, 3] = tops
-    block = with_zero_rows(block)
     sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
     assert_bitwise(sums, fsum_rows(block))
     assert fallbacks == 0
@@ -647,7 +634,6 @@ def test_exact_row_sums_huge_rows_go_to_fsum(monkeypatch):
     rng = np.random.default_rng(6)
     exps = np.array([1000, 1010, 1016, 1017, 1017, 1018])
     block = rng.uniform(0.5, 1.0, size=(exps.size, W)) * 2.0 ** exps[:, None]
-    block = with_zero_rows(block)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sums, fallbacks = row_sums_and_fallbacks(block, monkeypatch)
@@ -667,7 +653,7 @@ def test_exact_row_sums_overflowing_rows_read_inf(monkeypatch):
     # fsum raises on a sum past the largest float; for values >= 0 the
     # correct rounding of such a sum is inf. The first row's sigma passes
     # 2^1023, so it goes to fsum; the second's fits and takes the split.
-    block = with_zero_rows(np.full((2, W), 1e307))
+    block = np.full((2, W), 1e307)
     block[1] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -675,7 +661,7 @@ def test_exact_row_sums_overflowing_rows_read_inf(monkeypatch):
     assert sums[0] == math.inf
     assert sums[1] == math.fsum(block[1])
     assert fallbacks == 1
-    assert _exact_row_sums(block[:1, :8]).tolist() == [8e307]
+    assert row_sums(block[:1, :8]).tolist() == [8e307]
 
 
 def fsum_prefixes(values, ends):
@@ -684,10 +670,16 @@ def fsum_prefixes(values, ends):
                                               ends.tolist())])
 
 
+def prefix_rows(values, ends):
+    """prefix_sums of each row of values at the same row of ends."""
+    return np.array([prefix_sums(row, row_ends)
+                     for row, row_ends in zip(values, ends)])
+
+
 def prefix_sums_and_fallbacks(values, ends, monkeypatch):
-    """_exact_prefix_sums(values, ends) and how many ends it sent to
+    """prefix_rows(values, ends) and how many ends it sent to
     math.fsum."""
-    return sums_and_fallbacks(_exact_prefix_sums, monkeypatch, values, ends)
+    return sums_and_fallbacks(prefix_rows, monkeypatch, values, ends)
 
 
 def test_exact_prefix_sums_match_fsum_of_every_prefix(monkeypatch):
@@ -703,7 +695,7 @@ def test_exact_prefix_sums_match_fsum_of_every_prefix(monkeypatch):
     assert_bitwise(sums, fsum_prefixes(values, ends))
     assert fallbacks == 0
     assert not sums[:, 0].any()
-    assert_bitwise(sums[:, 1], _exact_row_sums(values))
+    assert_bitwise(sums[:, 1], row_sums(values))
 
 
 def test_exact_prefix_sums_zeros_and_ties(monkeypatch):
@@ -730,7 +722,7 @@ def test_exact_prefix_sums_subnormals_and_wide_exponent_range():
                                                              size=(4, W))
     for values in (tiny, mixed, spread):
         ends = rng.integers(0, values.shape[1] + 1, size=(4, 25))
-        assert_bitwise(_exact_prefix_sums(values, ends),
+        assert_bitwise(prefix_rows(values, ends),
                        fsum_prefixes(values, ends))
 
 
@@ -754,11 +746,12 @@ def test_exact_prefix_sums_uncertified_ends_go_to_fsum(monkeypatch):
     ends = np.tile([0, 1, 250, 499, 500], (3, 1))
     forced = np.zeros(ends.shape, dtype=bool)
     forced[[0, 1, 2], [2, 4, 1]] = True
+    rows = iter(forced)  # prefix_sums certifies once per row
 
-    def uncertifying(t1, t2, bound, certify=grid_module._certify):
-        return certify(t1, t2, np.where(forced, np.inf, bound))
+    def uncertifying(t1, t2, sigma, count, certify=exact.certify):
+        return certify(t1, t2, np.where(next(rows), np.inf, sigma), count)
 
-    monkeypatch.setattr(grid_module, "_certify", uncertifying)
+    monkeypatch.setattr(exact, "certify", uncertifying)
     sums, fallbacks = prefix_sums_and_fallbacks(values, ends, monkeypatch)
     assert_bitwise(sums, fsum_prefixes(values, ends))
     assert fallbacks == 3
@@ -782,12 +775,12 @@ def test_exact_prefix_sums_huge_rows_go_to_fsum(monkeypatch):
 
 
 def segment_sums_and_fallbacks(segments, monkeypatch):
-    """_segment_sums over the concatenated segments, math.fsum of each,
-    and how many segments _segment_sums sent to math.fsum."""
+    """segment_sums over the concatenated segments, math.fsum of each,
+    and how many segments segment_sums sent to math.fsum."""
     values = np.concatenate([np.asarray(v, dtype=np.float64)
                              for v in segments])
     starts = np.r_[0, np.cumsum([len(v) for v in segments])]
-    sums, fallbacks = sums_and_fallbacks(_segment_sums, monkeypatch, values,
+    sums, fallbacks = sums_and_fallbacks(segment_sums, monkeypatch, values,
                                          starts)
     return sums, np.array([fsum_or_inf(v) for v in segments]), fallbacks
 
@@ -953,14 +946,14 @@ def test_pair_path_clump_beside_a_spread_cell_goes_to_fsum(monkeypatch):
 def test_pair_path_uncertified_points_go_to_fsum(monkeypatch):
     points = q2_mixture(0.4)
 
-    def uncertifying(t1, t2, bound, certify=grid_module._certify):
-        bound = np.array(bound, dtype=np.float64)
-        bound[::2] = np.inf
-        return certify(t1, t2, bound)
+    def uncertifying(t1, t2, sigma, count, certify=grid_module.certify):
+        sigma = np.array(sigma, dtype=np.float64)
+        sigma[::2] = np.inf
+        return certify(t1, t2, sigma, count)
 
     _, (share, _), natural = rt_on_pair_path(points, monkeypatch)
     forced = -(-round(share * len(points)) // 2)
-    monkeypatch.setattr(grid_module, "_certify", uncertifying)
+    monkeypatch.setattr(grid_module, "certify", uncertifying)
     (rt, a_p, d_c), _, fallbacks = rt_on_pair_path(points, monkeypatch)
     # every other sum is forced; the few the bound leaves may overlap them
     assert forced <= fallbacks <= forced + natural
@@ -993,13 +986,13 @@ def rt_on_paths(points, monkeypatch, coef_rt=1.0, target_fraction=0.075):
     seen = {"flat": 0, "pair": 0, "chunks": 0}
 
     def flat(*args, flat_row_sums=grid_module._flat_row_sums,
-             segment_sums=grid_module._segment_sums):
+             segment_sums=grid_module.segment_sums):
         def chunk(*chunk_args):
             seen["chunks"] += 1
             return segment_sums(*chunk_args)
 
         with monkeypatch.context() as m:
-            m.setattr(grid_module, "_segment_sums", chunk)
+            m.setattr(grid_module, "segment_sums", chunk)
             ids, sums = flat_row_sums(*args)
         seen["flat"] = ids.size
         return ids, sums
@@ -1033,7 +1026,7 @@ def test_flat_pass_one_point_per_chunk(monkeypatch):
     # a budget below every point's neighborhood still takes whole points
     points = blobs(300, 8, 0.3, 1)
     (rt, a_p, d_c), seen, _ = rt_on_paths(points, monkeypatch)
-    monkeypatch.setattr(grid_module, "_BLOCK_ELEMENTS", 8)
+    monkeypatch.setattr(grid_module, "BLOCK_ELEMENTS", 8)
     (rt1, a_p1, d_c1), seen1, _ = rt_on_paths(points, monkeypatch)
     assert seen1["chunks"] == seen1["flat"] == seen["flat"]
     assert rt1 == rt
@@ -1075,7 +1068,7 @@ def test_compute_rt_on_the_q8_benchmark_input_sends_only_ties_to_fsum(
         sent.append(values)
         return fsum(values)
 
-    monkeypatch.setattr(grid_module.math, "fsum", recording_fsum)
+    monkeypatch.setattr(math, "fsum", recording_fsum)
     compute_rt(build_grid(points), points, 0.1)
     *rows, outer = sent
     assert len(sent) == fallbacks and len(outer) == 784  # rt's outer mean

@@ -9,7 +9,6 @@ from conftest import oracle_distance
 
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
-from adclust.grid import _SPLIT_ELEMENTS
 from adclust.kernel import (BANDWIDTH_FLOOR, fit_kernel,
                             median_pairwise_distance, pipeline_scores, score,
                             weight)
@@ -148,10 +147,8 @@ def oracle_score(clf, probe) -> float:
 
 @pytest.mark.parametrize("q", [2, 8, 9])
 def test_score_matches_dimension_order_oracle_bitwise(q):
-    # 60 probes x 16 labeled points stay below _SPLIT_ELEMENTS and take
-    # the fsum path; against 129 labeled points every block of 28 or more
-    # probes (q = 9 chunks them 28 at a time) takes the split
-    assert 60 * 16 < _SPLIT_ELEMENTS <= 28 * 129
+    # 16 and 129 labeled points; against 129 at q = 9 the 60 probes come
+    # in blocks of 28
     rng = np.random.default_rng(q)
     scales = rng.uniform(0.1, 10.0, size=q)
     for n in (16, 129):
