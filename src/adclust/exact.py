@@ -170,7 +170,7 @@ def prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     correctly rounded; every other end, and every end of a row whose
     sigma would pass 2^1023, goes to math.fsum of its prefix.
     """
-    sigma, fits = sigmas(values.max(), values.size)
+    sigma, fits = sigmas(values.max(initial=0.0), values.size)
     x, high = split(values, sigma, fits)
     cum = np.zeros(values.size + 1)
     np.cumsum(high, out=cum[1:])

@@ -19,19 +19,26 @@ every strategy pair, precomputed into per-adversary tables over the
 Every pass fraction is an exact count over the sorted scores, and every
 payoff entry is a correctly rounded mean: the exact sum of the payoffs
 of the objects inside the wall, rounded once, divided by the sample
-size. The objects a radius passes are a prefix of the sample in score
-order, so build_tables takes each t row's entries from one exact prefix
-sum of its payoffs in that order (exact.prefix_sums), and direct
-evaluation sums the masked payoffs with exact.row_sums. Both are
-bitwise math.fsum of the same values, so direct evaluation and table
-lookup agree bitwise whatever the order of the sample, and results do
-not depend on BLAS threading. Contraction toward the wall's own mean
-scales every score by nearly the same factor, so each row's order is a
-stable sort of the previous row's: correct in any case, and cheap when
-the order barely moves. Each adversary sample is held dimension-major
-(Fortran order), so the attack, its cost and the wall score all step
-along the sample; wall scores do not depend on layout, so the direct
-evaluation of a row-major draw gives the same bits.
+size. Both depend only on which objects pass, so build_tables works on
+each t row only where an object can pass the widest wall. In exact
+arithmetic, contraction toward the wall's own mean scales every score
+by (1 - t)^2 (Mahalanobis) or (1 - t) (scaled L1), so the objects that
+can pass are the first ones in the order of their scores at t = 0. Each
+adversary sample is therefore scored once by the wall's own kind score,
+held once in that order (dimension-major, so the attack, its cost and
+the wall score step along the sample), and walls.contraction_counts
+gives each row the prefix past which every object, with the float
+error of the scaling bounded, scores above the widest wall. The row
+attacks, scores and costs that prefix only. The objects a radius passes
+are its first ones in score order, so the row's entries come from one
+exact prefix sum of the sorted payoffs (exact.prefix_sums), and direct
+evaluation sums the masked payoffs of the whole sample with
+exact.row_sums. Both are bitwise math.fsum of the same values, so direct
+evaluation and table lookup agree bitwise whatever the order of the
+sample, and results do not depend on BLAS threading. A wall score does
+not depend on the layout of its input or on the other objects scored
+with it, so the direct evaluation of a row-major draw gives the same
+bits.
 
 The follower search streams the joint profiles in chunks and takes the
 defender's best responses for a whole chunk at once, through the same
@@ -51,8 +58,8 @@ import numpy as np
 
 from .errors import GridBudgetError, ValidationError
 from .exact import prefix_sums, row_sums, sq_distances
-from .walls import RegionStats, Wall, chi2_quantile, eta_of_alpha, \
-    fit_region_stats, sample_gaussian
+from .walls import RegionStats, Wall, chi2_quantile, contraction_counts, \
+    eta_of_alpha, fit_region_stats, sample_gaussian
 
 # Attack profiles whose defender responses solve_follower takes in one
 # (chunk, alpha) array.
@@ -279,26 +286,31 @@ def build_tables(config: GameConfig) -> GameTables:
     attacker: list[np.ndarray] = []
     adv_error: list[np.ndarray] = []
     for spec, util in zip(config.adversaries, config.utilities):
-        # dimension-major, so the attack, its cost and the score step along
-        # the sample with no transposing copy
-        sample = np.asfortranarray(sample_gaussian(spec.mean, spec.cov,
-                                                   spec.sample_size, spec.seed))
+        raw = sample_gaussian(spec.mean, spec.cov, spec.sample_size, spec.seed)
+        # at ts[it], only the first counts[it] samples in the wall's
+        # reference order can pass the widest wall (c = fl(1 - t), as
+        # apply_attack takes it)
+        order, counts = contraction_counts(wall, raw, float(radii.max()),
+                                           1.0 - ts)
+        # held once, in that order and dimension-major, so the attack, its
+        # cost and the score step along the sample with no transposing copy
+        sample = np.empty(raw.shape, order="F")
+        np.take(raw, order, axis=0, out=sample)
+        del raw
+        n = spec.sample_size
         a_tab = np.empty((n_t, len(alphas)))
         e_tab = np.empty((n_t, len(alphas)))
-        order = np.arange(spec.sample_size)
-        for it, t in enumerate(ts):
-            moved = apply_attack(sample, mu_g, float(t))
-            pay = util.payoff(movement_cost(sample, moved))
+        for it, t in enumerate(ts.tolist()):
+            part = sample[:counts[it]]
+            moved = apply_attack(part, mu_g, t)
+            pay = util.payoff(movement_cost(part, moved))
             s = wall.score(moved)
-            # contraction scales every score by about the same factor, so
-            # after the first row the stable sort finds s[order] nearly
-            # sorted already
-            order = order[np.argsort(s[order], kind="stable")]
+            order = np.argsort(s, kind="stable")
             passed = np.searchsorted(s[order], radii, side="right")
-            e_tab[it] = passed / s.size
+            e_tab[it] = passed / n
             # the samples that pass radius ih are the first passed[ih] in
             # score order, so every entry is one prefix of the sorted pay
-            a_tab[it] = prefix_sums(pay[order], passed) / s.size
+            a_tab[it] = prefix_sums(pay[order], passed) / n
         attacker.append(a_tab)
         adv_error.append(e_tab)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,

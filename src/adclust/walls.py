@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import gammaincinv
 
 from .errors import DegenerateRegionError, ValidationError
@@ -33,6 +33,13 @@ from .exact import dimension_sum
 
 RIDGE_SCALE = 1e-9
 ABS_RIDGE = 1e-12
+
+# Unit roundoff, and the guards and underflow allowance of
+# contraction_counts (see its proof).
+_U = 2.0 ** -53
+_TINY = 2.0 ** -800
+_SCALE = 2.0 ** 100
+_REACH = 2.0 ** 500
 
 
 @dataclass
@@ -152,6 +159,115 @@ class Wall:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self.score(points) <= self.radius
+
+
+def contraction_counts(wall: Wall, points: np.ndarray, top: float,
+                       factors) -> tuple[np.ndarray, np.ndarray]:
+    """(order, counts): the rows of points in reference order, and for
+    each factor c how many of them, in that order, can score at most top
+    once contracted by c toward the wall's mean.
+
+    The reference score R of a row x is the wall's own kind score of x
+    (mahalanobis_sq or scaled_l1), and order is its stable argsort.
+    Contracting x by a float c in [0, 1] gives y = fl(m + fl(c fl(x -
+    m))), m the wall mean. counts[j] is the number of rows with R at
+    most a limit L(c_j), and every row with R > L(c) has a computed kind
+    score of y above top, so the rows that can score at most top are a
+    prefix of order. L is inf (the count is every row) where c = 0 and
+    where the guards below fail.
+
+    Proof. u = 2^-53. Every rounding is fl(a o b) = (a o b)(1 + e) + h
+    with |e| <= u, |h| <= 2^-1075 for a product or quotient and h = 0
+    for a sum or difference; gamma_k = k u / (1 - k u). With d = fl(x -
+    m), e' = fl(c d) and y = fl(m + e'), the deviation the score takes is
+
+        d' = fl(y - m) = c d (1 + e1)(1 + e2)(1 + e3) + e2 m (1 + e3) + h',
+        |d'_i - c d_i| <= gamma_3 c |d_i| + u (1 + u) |m_i| + 2^-1074.
+
+    q < 2^20 (the q x q covariance is held), and the guards are: every R
+    finite and at most 2^500; for Manhattan every std >= 2^-100; for
+    Euclidean the lower Cholesky factor F of the wall has entries at most
+    2^100 and the bounds N, g below satisfy N <= 2^100, g <= 2^-20.
+    Under them every underflow term h below adds less than 2^-830 in
+    total, so _TINY = 2^-800 covers them; and a row with R > L(c) has
+    R <= 2^500 and u |m_i| / s_i < c R (Manhattan) or u ||m|| < c
+    sqrt(R) / N (Euclidean), so no step of its moved score overflows.
+
+    Manhattan (s the stds, S = sum of |d_i| / s_i in dimension order).
+    Terms are >= 0, so a dimension-order sum of q of them is within
+    (1 +- u)^(q - 1) of the exact sum, and each term within 1 +- u of
+    |d_i| / s_i. With M = sum_i |m_i| / s_i, the moved score is
+
+        S(y) >= c R (1 - u)^(q + 3) (1 + u)^-q - u (1 + u) M - _TINY,
+
+    which exceeds top where R > (top + u (1 + u) M + _TINY)
+    (1 + u)^q (1 - u)^-(q + 3) / c. L(c) = (1 + 4 (q + 2) u) (top + 2 u M
+    + _TINY) / c, as computed, is at least that: its factor covers the
+    (1 + u)^q (1 - u)^-(q + 3) above and the five roundings of the
+    formula, and 2 u M (M summed in float) covers u (1 + u) M.
+
+    Euclidean (F the factor, P = F^-1, Q(v) = ||P v||^2). Each of the two
+    triangular solves of cho_solve (LAPACK potrs) returns x with (T +
+    D) x = b + h, |D| <= gamma_(q + 1) |T|, whatever the order of its
+    inner products and whether it divides by the diagonal or multiplies
+    by its rounded reciprocal (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., Thm 8.5), and the signed dot product
+    of the score errs by at most gamma_q |v|^T |z| (Higham, sec. 3.1).
+    X, P computed by the same kind of solve, has F X = I + E with
+    ||E||_F <= gamma_(q + 1) ||F||_F ||X||_F <= g, so ||P||_F <= ||X||_F
+    / (1 - ||E||_F) <= N = 1.001 ||X||_F (as computed: the 1.001 covers
+    that divisor and the q^2 roundings of the norm). With K = 1.001
+    ||F||_F N >= ||F||_F ||P||_F, || |P| |F| ||_2 <= K and g = 1.001
+    (q + 3) u K >= gamma_(q + 3) K. Writing v = F w, the two solves make z =
+    P^T (I + G2)^-1 (I + G1)^-1 w with ||Gi||_2 <= g, so v^T z is
+    within ((1 - g)^-2 - 1) Q(v) of Q(v), and |v|^T |z| <= K Q(v) /
+    (1 - g)^2: the computed score of v is within 4 g Q(v) of Q(v).
+    From the deviation above, ||P (d' - c d)|| <= gamma_3 c K sqrt(Q(d))
+    + a with a = N (u (1 + u) ||m|| + sqrt(q) 2^-1074), so sqrt(Q(d'))
+    >= c (1 - g) sqrt(Q(d)) - a. Chaining R <= (1 + 4g) Q(d), S(y) >=
+    (1 - 4g) Q(d') and the underflow terms, S(y) > top wherever
+
+        R > _TINY + (1 + 11 g) ((sqrt(top + _TINY) + D) / c)^2,
+
+    with D = u (1 + u) N ||m|| plus the underflow terms (below _TINY).
+    L(c) = _TINY + (1 + 16 g) ((sqrt(top + _TINY) + D') / c)^2, D' = 2 u
+    N ||m|| + _TINY, as computed, is at least that: 5 g >= 20 u covers
+    its nine roundings.
+    """
+    q = wall.stats.mean.size
+    if wall.kind == "euclidean":
+        ref = wall.mahalanobis_sq(points)
+    else:
+        ref = wall.scaled_l1(points)
+    order = np.argsort(ref, kind="stable")
+    ref = ref[order]
+    c = np.asarray(factors, dtype=np.float64)
+    limits = np.full(c.shape, np.inf)
+    live = (c > 0.0) & (np.abs(ref) <= _REACH).all()
+    with np.errstate(over="ignore"):
+        if wall.kind == "manhattan":
+            stds = wall.stats.stddevs
+            spread = (np.abs(wall.stats.mean) / stds).sum()
+            if stds.min() >= 1.0 / _SCALE:
+                limits[live] = (1.0 + 4 * (q + 2) * _U) * (
+                    top + 2.0 * _U * spread + _TINY) / c[live]
+        else:
+            factor = np.tril(wall._cho[0])
+            inverse = solve_triangular(factor, np.eye(q), lower=True)
+            norm_inv = 1.001 * np.sqrt((inverse * inverse).sum())
+            cond = 1.001 * np.sqrt((factor * factor).sum()) * norm_inv
+            g = 1.001 * (q + 3) * _U * cond
+            if (np.abs(factor).max() <= _SCALE and norm_inv <= _SCALE
+                    and g <= 2.0 ** -20):
+                mean = wall.stats.mean
+                shift = 2.0 * _U * norm_inv * np.sqrt((mean * mean).sum())
+                root = np.sqrt(top + _TINY) + shift + _TINY
+                limits[live] = _TINY + (1.0 + 16.0 * g) * (
+                    root / c[live]) ** 2
+    counts = np.full(c.shape, ref.size)
+    certified = np.isfinite(limits)
+    counts[certified] = np.searchsorted(ref, limits[certified], side="right")
+    return order, counts
 
 
 def sample_gaussian(mean, cov, size: int, seed) -> np.ndarray:

@@ -9,6 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from adclust import game
 from adclust.errors import GridBudgetError, ValidationError
 from adclust.game import (Equilibrium, GameConfig,
                           PopulationSpec, UtilitySpec, apply_attack,
@@ -16,7 +17,8 @@ from adclust.game import (Equilibrium, GameConfig,
                           movement_cost, solve_follower, solve_game,
                           solve_leader)
 from adclust.synthetic import game_preset
-from adclust.walls import Wall, eta_of_alpha, sample_gaussian
+from adclust.walls import (RegionStats, Wall, contraction_counts,
+                           eta_of_alpha, sample_gaussian)
 
 
 def draw(spec: PopulationSpec) -> np.ndarray:
@@ -226,9 +228,10 @@ def test_huge_payoff_cells_match_direct_evaluation_bitwise(k_max):
 
 
 def test_cells_hold_when_contraction_reorders_the_scores(monkeypatch):
-    # build_tables sorts each t row starting from the previous row's
-    # order, which contraction alone barely moves. A score it does not
-    # scale reorders the sample from row to row; the cells must not care.
+    # build_tables picks each t row's candidates by the wall's own kind
+    # score, which contraction scales, and sorts them by Wall.score. A
+    # score that only grows keeps every blocked sample blocked but
+    # reorders the sample from row to row; the cells must not care.
     score = Wall.score
 
     def scrambled(self, points):
@@ -243,6 +246,108 @@ def test_cells_hold_when_contraction_reorders_the_scores(monkeypatch):
     orders = [np.argsort(wall.score(apply_attack(sample, tables.mu_g, t)),
                          kind="stable") for t in tables.ts.tolist()]
     assert all((a != b).any() for a, b in zip(orders, orders[1:-1]))
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+def row_counts(config, tables):
+    """Adversary 0's candidate count per t row, as build_tables takes it."""
+    return contraction_counts(wall_at(config, tables, 0),
+                              draw(config.adversaries[0]),
+                              float(tables.radii.max()), 1.0 - tables.ts)[1]
+
+
+def scaled_config(center, scale, wall_kind, **kw):
+    """small_config's populations scaled by scale about center."""
+    config = small_config(sample_size=600, wall_kind=wall_kind,
+                          alpha_step=0.05, t_step=0.05, **kw)
+    center = np.asarray(center)
+
+    def moved(spec):
+        return dataclasses.replace(
+            spec, mean=tuple(center + scale * np.asarray(spec.mean)),
+            cov=tuple(map(tuple, scale ** 2 * np.asarray(spec.cov))))
+
+    return dataclasses.replace(config, normal=moved(config.normal),
+                               adversaries=[moved(config.adversaries[0])])
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_cells_hold_with_a_mean_far_from_the_origin(wall_kind):
+    # at (1e6, -1e6) a float step is about a tenth of a standard
+    # deviation of 1e-9, so adding and removing the mean moves a score by
+    # up to about 0.1: far more than the relative roundings, and covered
+    # only by the limit's absolute term
+    config = scaled_config((1e6, -1e6), 1e-9, wall_kind)
+    tables = build_tables(config)
+    err = tables.adv_error[0]
+    assert ((err > 0.0) & (err < 1.0)).any()
+    counts = row_counts(config, tables)
+    assert ((counts > 0) & (counts < 600)).sum() >= 5
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_cells_hold_on_the_widest_wall(wall_kind):
+    # one adversary in a tight clump (standard deviation 1e-15) exactly
+    # on the widest wall at t = 0.3, so about half of it passes there with
+    # scores within a few roundings of that radius, where only the
+    # limit's relative widening keeps the passing ones in the prefix
+    config = small_config(sample_size=1000, wall_kind=wall_kind,
+                          alpha_step=0.05, t_step=0.1)
+    tables = build_tables(config)
+    top, c = float(tables.radii.max()), 1.0 - 0.3
+    direction = np.array([1.0, 0.5])
+    wall = wall_at(config, tables, 0)
+    # the score scales as c^2 (Mahalanobis) or c (scaled L1)
+    power = 2 if wall_kind == "euclidean" else 1
+    unit = float(wall.score(tables.mu_g + direction)[0])
+    reach = (top / unit) ** (1 / power) / c
+    clump = dataclasses.replace(
+        config.adversaries[0], mean=tuple(tables.mu_g + reach * direction),
+        cov=((1e-30, 0.0), (0.0, 1e-30)))
+    config = dataclasses.replace(config, adversaries=[clump])
+    tables = build_tables(config)
+    assert 0.0 < tables.adv_error[0][3, -1] < 1.0
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+def test_ill_conditioned_walls_score_every_sample(monkeypatch):
+    # an unridged covariance of condition 1e24 (fit_region_stats would
+    # ridge it) leaves the Cholesky solves no certified bound, so every
+    # row takes every sample
+    def unridged(points):
+        cov = np.cov(points.T)
+        return RegionStats(mean=points.mean(axis=0), covariance=cov,
+                           stddevs=np.sqrt(np.diag(cov)),
+                           member_count=len(points))
+
+    config = scaled_config((0.0, 0.0), 1.0, "euclidean")
+    thin = ((1.0, 0.0), (0.0, 1e-24))
+    config = dataclasses.replace(
+        config,
+        normal=dataclasses.replace(config.normal, cov=thin),
+        adversaries=[dataclasses.replace(config.adversaries[0],
+                                         mean=(3.0, 3e-12), cov=thin)])
+    assert (row_counts(config, build_tables(config)) < 600).any()
+    monkeypatch.setattr(game, "fit_region_stats", unridged)
+    tables = build_tables(config)
+    err = tables.adv_error[0]
+    assert ((err > 0.0) & (err < 1.0)).any()
+    assert (row_counts(config, tables) == 600).all()
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_rows_take_no_some_or_every_sample(wall_kind):
+    # an adversary at (12, 12) passes no wall until well into the
+    # contraction, and at t = 1 every sample is a candidate
+    config = scaled_config((0.0, 0.0), 1.0, wall_kind)
+    far = dataclasses.replace(config.adversaries[0], mean=(12.0, 12.0))
+    config = dataclasses.replace(config, adversaries=[far])
+    tables = build_tables(config)
+    counts = row_counts(config, tables)
+    assert counts[0] == 0 and counts[-1] == 600
+    assert ((counts > 0) & (counts < 600)).any()
     assert_tables_match_direct_evaluation(config, tables)
 
 

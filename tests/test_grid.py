@@ -741,6 +741,12 @@ def test_exact_prefix_sums_bound_the_error_of_lo(monkeypatch):
     assert fallbacks == 5
 
 
+def test_exact_prefix_sums_of_an_empty_row():
+    # a game row whose candidates are all blocked sums an empty prefix
+    sums = prefix_sums(np.zeros(0), np.array([0, 0, 0]))
+    assert_bitwise(sums, np.zeros(3))
+
+
 def test_exact_prefix_sums_uncertified_ends_go_to_fsum(monkeypatch):
     values = np.sqrt(np.random.default_rng(10).uniform(size=(3, 500)))
     ends = np.tile([0, 1, 250, 499, 500], (3, 1))

@@ -243,3 +243,22 @@ def test_scores_are_dimension_order_sums_in_any_layout(q, kind):
     want = dimension_order_scores(wall, points).tobytes()
     assert wall.score(points).tobytes() == want
     assert wall.score(np.asfortranarray(points)).tobytes() == want
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("q", [2, 3, 8])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_scores_of_slices_and_subsets_are_the_full_scores(q, kind, layout):
+    # each point's score is computed on its own: the game scores contiguous
+    # prefixes of a sample and relies on this
+    rng = np.random.default_rng(q)
+    a = rng.standard_normal((q, q))
+    stats = stats_from_moments(rng.standard_normal(q), a @ a.T + np.eye(q))
+    wall = Wall(kind=kind, stats=stats, level=0.5, radius=1.0)
+    points = np.asarray(3.0 * rng.standard_normal((1001, q)), order=layout)
+    full = wall.score(points)
+    for lo, hi in [(0, 0), (500, 500), (0, 1), (700, 701), (0, 333),
+                   (13, 346), (1, 1001), (0, 1001)]:
+        assert wall.score(points[lo:hi]).tobytes() == full[lo:hi].tobytes()
+    rows = rng.permutation(1001)[:517]
+    assert wall.score(points[rows]).tobytes() == full[rows].tobytes()

@@ -1,15 +1,17 @@
 """Scale probe: per-stage wall times and peak RSS of one adclust() call
-at fixed sizes, and the stage and tail times of a wall sweep.
+at fixed sizes, the stage and tail times of a wall sweep, and the
+stages of the wall-sizing game.
 
     python3 tools/scale_probe.py [--sizes N ...] [--with-100k]
-                                 [--q Q ...] [--sweep]
+                                 [--q Q ...] [--sweep] [--game]
                                  [--repeat R] [--seed S] [--root DIR]
 
 A size line's input is the cluster_q2 workload's (perfbench/workloads.py,
 built from --seed) with its rows drawn with replacement to N points,
 labels included, plus N(0, 0.05^2) jitter on every coordinate; the
-parameters are the workload's. The sizes default to 5k and 20k;
---with-100k adds N = 100,000, which needs several GB of memory.
+parameters are the workload's. The sizes default to 5k and 20k, and
+--sizes with no value runs none; --with-100k adds N = 100,000, which
+needs several GB of memory.
 
 --q adds one line per dimension: perfbench's three_blobs input at
 N = 1,500 (cluster_q8's 675 normal, 675 abnormal and 150 never-labelled
@@ -20,6 +22,11 @@ core.finish() calls of a wall sweep (cli.WALL_ALPHA_GRID x
 cli.WALL_K_GRID, in the order sweep runs them). It prints the stage time
 (prepare_s), each grid point's tail time (finish_s) and their sum; no
 report is built or written.
+
+--game adds one line per three_adv_* game preset (seed --seed, 10k
+draws per population) and wall kind, the inputs of perfbench's
+game_solve workload: the medians of build_tables and of solve_leader and
+solve_follower on its tables.
 
 Each line runs in a fresh process with one BLAS/OpenMP thread, so its
 peak RSS (ru_maxrss) is its own. A stage time is the inclusive wall time
@@ -50,6 +57,8 @@ STAGES = ("build_grid", "compute_rt", "rt_graph", "compute_density",
 GRID_STAGES = ("_near_cells",)  # called inside compute_rt
 Q8_SIZES = (675, 675, 150)  # cluster_q8's three_blobs sizes
 SWEEP_N = 20_000
+GAMES = [(f"three_adv_{family}", wall) for family in ("log", "linear", "exp")
+         for wall in ("euclidean", "manhattan")]
 
 
 def load(root: Path, kind: str, value: int, seed: int):
@@ -128,33 +137,64 @@ def sweep_times(dataset, params, repeat: int) -> dict:
             "finish_s": finish_s, "finish_total_s": round(sum(finish_s), 4)}
 
 
+def game_times(root: Path, index: int, seed: int, repeat: int) -> dict:
+    """Median build_tables, solve_leader and solve_follower times of
+    `repeat` solves of GAMES[index]."""
+    sys.path[:0] = [str(root / "src")]
+    from adclust.game import build_tables, solve_follower, solve_leader
+    from adclust.synthetic import game_preset
+
+    name, wall = GAMES[index]
+    config = game_preset(name, wall_kind=wall, seed=seed)
+    runs = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        tables = build_tables(config)
+        run = [time.perf_counter() - start]
+        for solve in (solve_leader, solve_follower):
+            start = time.perf_counter()
+            solve(tables)
+            run.append(time.perf_counter() - start)
+        runs.append(run)
+    stages = ("build_tables", "solve_leader", "solve_follower")
+    return {"preset": name, "wall": wall,
+            "stages_s": {k: median(col) for k, col in zip(stages, zip(*runs))}}
+
+
 def probe(root: Path, kind: str, value: int, seed: int, repeat: int) -> dict:
-    dataset, params = load(root, kind, value, seed)
-    if kind == "sweep":
-        out = sweep_times(dataset, params, repeat)
+    if kind == "game":
+        head, out = {}, game_times(root, value, seed, repeat)
     else:
-        out = stage_times(dataset, params, repeat)
+        dataset, params = load(root, kind, value, seed)
+        if kind == "sweep":
+            out = sweep_times(dataset, params, repeat)
+        else:
+            out = stage_times(dataset, params, repeat)
+        head = {"q": value} if kind == "q" else {}
+        head["n"] = dataset.n
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    head = {"q": value} if kind == "q" else {}
-    return {**head, "n": dataset.n, "seed": seed, "repeat": repeat, **out,
+    return {**head, "seed": seed, "repeat": repeat, **out,
             "peak_rss_mb": round(rss, 1)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[5000, 20000])
+    parser.add_argument("--sizes", type=int, nargs="*", default=[5000, 20000],
+                        help="resample sizes (none: no size line)")
     parser.add_argument("--with-100k", action="store_true")
     parser.add_argument("--q", type=int, nargs="+", default=[],
                         help="three_blobs dimensions to probe")
     parser.add_argument("--sweep", action="store_true",
                         help="add a 15-point wall sweep at N = 20k")
+    parser.add_argument("--game", action="store_true",
+                        help="add the three_adv_* game presets")
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--one", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1 or min(args.sizes + args.q) < 1:
+    if args.repeat < 1 or any(v < 1 for v in args.sizes + args.q):
         parser.error("--sizes, --q and --repeat must be positive")
     root = args.root.resolve()
     if args.one is not None:
@@ -166,6 +206,7 @@ def main(argv=None) -> int:
     lines = [("n", n) for n in args.sizes + ([100_000] if args.with_100k else [])]
     lines += [("q", q) for q in args.q]
     lines += [("sweep", SWEEP_N)] if args.sweep else []
+    lines += [("game", i) for i in range(len(GAMES))] if args.game else []
     for kind, value in lines:
         out = subprocess.run(
             [sys.executable, __file__, "--one", kind, str(value), "--seed",
