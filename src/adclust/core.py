@@ -25,9 +25,20 @@ pass 3 on all points, both with the same rt and dt.
 adclust() is finish(prepare(dataset, params), k, alpha). prepare()
 computes what depends on neither the label weight k nor the wall level
 alpha: the grid, the kernel and its scores, rt, the rt graph, n(p), dt
-and pass 3. finish() runs passes 1 and 2, match, walls and containment,
-and fits each wall once per stage and (member ids, position, alpha), so
-a sweep prepares each run once and finishes it at every grid point.
+and pass 3. finish() runs passes 1 and 2, match, walls and containment.
+A sweep prepares each run once and finishes it at every grid point, and
+the stage keeps what repeats across them:
+
+- the composition (passes 1 and 2 and match) once per k, since none of
+  them reads alpha;
+- the connected components once per participant set, through merge's
+  component cache: pass 1's sets {rho > 0} and {rho < 0} do not depend
+  on k (rho = n(p) k (2b - 1), n(p) >= 1; where k (2b - 1) underflows
+  to 0 the set changes and so does its key), and only the seed test,
+  which the cache leaves out, reads rho;
+- each wall region's stats and, for Manhattan walls, its calibration
+  scores once per (member ids, position), and its wall once per alpha,
+  which then costs one quantile.
 """
 from __future__ import annotations
 
@@ -42,7 +53,8 @@ from .errors import ValidationError
 from .grid import DensityProfile, Thresholds, build_grid, \
     compute_density, compute_dt, compute_rt, rt_graph
 from .kernel import fit_kernel, pipeline_scores, weight
-from .walls import Wall, fit_euclidean_wall, fit_manhattan_wall, fit_region_stats
+from .walls import Wall, calibration_scores, fit_euclidean_wall, \
+    fit_manhattan_wall, fit_region_stats
 
 REGION_NORMAL_CORE = 0
 REGION_ABNORMAL = 1
@@ -54,13 +66,18 @@ REGION_NAMES = ("normal_core", "abnormal_region", "mixed_overlap",
 
 
 def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
-          dt: float, rt: float, graph: csr_matrix | None = None
+          dt: float, rt: float, graph: csr_matrix | None = None, *,
+          components: dict | None = None
           ) -> tuple[list[np.ndarray], np.ndarray]:
     """Cluster the given ids; see the module docstring for semantics.
 
     stat aligns with point_ids; graph is the rt graph over all of points,
     rt_graph(points, rt) by default. Returns (clusters, unassigned),
     clusters ordered by smallest member id and members ascending.
+    components, when given, caches the (n_components, labels) of each
+    participant set (keyed by its sorted ids' bytes) over this one graph:
+    a set seen before skips connected_components. Only the seed test
+    reads stat, so the cache holds for any stat and dt.
     """
     # csgraph costs about 3 MB of peak RSS; only merges need it
     from scipy.sparse.csgraph import connected_components
@@ -79,8 +96,14 @@ def merge(points: np.ndarray, point_ids: np.ndarray, stat: np.ndarray,
         raise ValidationError("point_ids must be unique")
     if ids[0] < 0 or ids[-1] >= points.shape[0]:
         raise ValidationError("point_ids must lie in [0, N)")
-    graph = rt_graph(points, rt) if graph is None else graph
-    n_comp, comp = connected_components(graph[ids][:, ids], directed=False)
+    key = ids.tobytes()
+    found = None if components is None else components.get(key)
+    if found is None:
+        graph = rt_graph(points, rt) if graph is None else graph
+        found = connected_components(graph[ids][:, ids], directed=False)
+        if components is not None:
+            components[key] = found
+    n_comp, comp = found
     seeded = np.zeros(n_comp, dtype=bool)
     seeded[comp[stat[order] >= dt]] = True
     kept = np.flatnonzero(seeded[comp])
@@ -99,7 +122,8 @@ class SubCluster:
 
 
 def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
-                  dt: float, rt: float, graph: csr_matrix
+                  dt: float, rt: float, graph: csr_matrix, *,
+                  components: dict | None = None
                   ) -> tuple[list[SubCluster], list[SubCluster],
                              np.ndarray, np.ndarray]:
     """Labeled sub-clusters, conflicted ids, and the leftover pool.
@@ -107,13 +131,16 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
     Conflicted points (unassigned but within rt of both classes'
     sub-clusters) are reported for visibility; they stay in the leftover
     pool either way. Points with rho == 0 participate in neither merge.
+    components is merge's component cache over graph.
     """
     n = points.shape[0]
     all_ids = np.arange(n, dtype=np.int64)
     pos = all_ids[rho > 0]
     neg = all_ids[rho < 0]
-    norm_raw, _ = merge(points, pos, rho[pos], dt, rt, graph)
-    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt, graph)
+    norm_raw, _ = merge(points, pos, rho[pos], dt, rt, graph,
+                        components=components)
+    abn_raw, _ = merge(points, neg, -rho[neg], dt, rt, graph,
+                       components=components)
 
     def anchored(groups: list[np.ndarray], wanted: int) -> list[np.ndarray]:
         return [g for g in groups if (labels[g] == wanted).any()]
@@ -139,10 +166,13 @@ def pass1_labeled(points: np.ndarray, labels: np.ndarray, rho: np.ndarray,
 
 
 def pass2_residual(points: np.ndarray, remaining: np.ndarray,
-                   n_p: np.ndarray, dt: float, rt: float, graph: csr_matrix
+                   n_p: np.ndarray, dt: float, rt: float, graph: csr_matrix,
+                   *, components: dict | None = None
                    ) -> tuple[list[SubCluster], np.ndarray]:
-    """Unlabeled sub-clusters over the leftover pool, original densities."""
-    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt, graph)
+    """Unlabeled sub-clusters over the leftover pool, original densities;
+    components is merge's component cache over graph."""
+    groups, unassigned = merge(points, remaining, n_p[remaining], dt, rt,
+                               graph, components=components)
     return [SubCluster(g, "unlabeled", 2) for g in groups], unassigned
 
 
@@ -292,9 +322,16 @@ class Stage:
 
     prepare() fills it once per (dataset, params); finish() clusters it
     at any k and alpha. graph is the one CSR rt graph (grid.rt_graph)
-    that density and every merge read. walls caches fitted walls by
-    (member ids, wall position, alpha): within one stage the kind, seed
-    and sample size that a wall also depends on are fixed by params.
+    that density and every merge read. finish() fills three caches,
+    which belong to this stage alone:
+    - components: merge's component cache over graph, by participant
+      set, for passes 1 and 2;
+    - compositions: the ClusterComposition by k, shared read-only by
+      the results at that k;
+    - walls: by (member ids, wall position), the region's RegionStats,
+      its Manhattan calibration scores (None for Euclidean walls) and a
+      dict of its walls by alpha. Within one stage the kind, seed and
+      sample size that a wall also depends on are fixed by params.
     """
 
     dataset: Dataset
@@ -306,6 +343,8 @@ class Stage:
     scores: np.ndarray
     uninformative_scores: int
     clusters: list[np.ndarray]
+    components: dict = field(default_factory=dict)
+    compositions: dict = field(default_factory=dict)
     walls: dict = field(default_factory=dict)
 
 
@@ -334,7 +373,9 @@ def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
 
 def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
     """Passes 1 and 2, match, walls and containment at weight k and wall
-    level alpha; the stage's params supply every other knob.
+    level alpha; the stage's params supply every other knob. Each
+    result's composition and walls are the stage's cached ones: read
+    them, do not change them.
 
     One wall is fitted per normal region with at least min_wall_size
     members, at level alpha. inside_walls marks the points inside any
@@ -343,32 +384,42 @@ def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
     params = replace(stage.params, k=k, alpha=alpha)
     dataset = stage.dataset
     pts = dataset.points
-    rt, dt = stage.thresholds.rt, stage.thresholds.dt
-    n_p = stage.profile.density_point
-    rho = n_p * weight(stage.scores, k)
-
-    normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
-        pts, dataset.labels, rho, dt, rt, stage.graph)
-    unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt,
-                                       stage.graph)
-    comp = match(dataset.n, normal_subs, abnormal_subs, unlabeled_subs,
-                 stage.clusters, conflicted)
+    if k not in stage.compositions:
+        rt, dt = stage.thresholds.rt, stage.thresholds.dt
+        n_p = stage.profile.density_point
+        rho = n_p * weight(stage.scores, k)
+        normal_subs, abnormal_subs, conflicted, remaining = pass1_labeled(
+            pts, dataset.labels, rho, dt, rt, stage.graph,
+            components=stage.components)
+        unlabeled_subs, _ = pass2_residual(pts, remaining, n_p, dt, rt,
+                                           stage.graph,
+                                           components=stage.components)
+        stage.compositions[k] = match(dataset.n, normal_subs, abnormal_subs,
+                                      unlabeled_subs, stage.clusters,
+                                      conflicted)
+    comp = stage.compositions[k]
 
     walls: list[Wall] = []
     wall_sub_ids: list[int] = []
     for idx, sc in enumerate(comp.sub_clusters):
         if sc.class_tag != "normal" or sc.members.size < params.min_wall_size:
             continue
-        key = (sc.members.tobytes(), len(walls), alpha)
+        key = (sc.members.tobytes(), len(walls))
         if key not in stage.walls:
             stats = fit_region_stats(pts[sc.members])
-            if params.wall_kind == "euclidean":
-                stage.walls[key] = fit_euclidean_wall(stats, alpha)
+            scores = None
+            if params.wall_kind == "manhattan":
+                scores = calibration_scores(stats, params.eta_sample_size,
+                                            seed=[params.seed, len(walls)])
+            stage.walls[key] = stats, scores, {}
+        stats, scores, by_alpha = stage.walls[key]
+        if alpha not in by_alpha:
+            if scores is None:
+                by_alpha[alpha] = fit_euclidean_wall(stats, alpha)
             else:
-                stage.walls[key] = fit_manhattan_wall(
-                    stats, alpha, sample_size=params.eta_sample_size,
-                    seed=[params.seed, len(walls)])
-        walls.append(stage.walls[key])
+                by_alpha[alpha] = fit_manhattan_wall(stats, alpha,
+                                                     scores=scores)
+        walls.append(by_alpha[alpha])
         wall_sub_ids.append(idx)
 
     inside = np.zeros(dataset.n, dtype=bool)

@@ -29,7 +29,8 @@ held once in that order (dimension-major, so the attack, its cost and
 the wall score step along the sample), and walls.contraction_counts
 gives each row the prefix past which every object, with the float
 error of the scaling bounded, scores above the widest wall. The row
-attacks, scores and costs that prefix only. The objects a radius passes
+attacks, scores and costs that prefix only, and a row whose prefix is
+empty takes its zero entries directly. The objects a radius passes
 are its first ones in score order, so the row's entries come from one
 exact prefix sum of the sorted payoffs (exact.prefix_sums), and direct
 evaluation sums the masked payoffs of the whole sample with
@@ -133,10 +134,18 @@ def _population_dim(spec: PopulationSpec) -> int:
 
 
 def apply_attack(points: np.ndarray, mu_g: np.ndarray, t: float) -> np.ndarray:
-    """Contract objects toward mu_g by strength t in [0, 1]."""
+    """Contract objects toward mu_g by strength t in [0, 1]: each
+    coordinate fl(m + fl(c fl(x - m))), c = fl(1 - t). The steps run
+    along the objects, on one dimension-major copy, whatever the layout
+    of points; the (n, q) result is a view of that copy."""
     if not 0.0 <= t <= 1.0:
         raise ValidationError("t must be in [0, 1]")
-    return mu_g + (1.0 - t) * (points - mu_g)
+    center = np.asarray(mu_g, dtype=np.float64)[:, None]
+    moved = np.subtract(np.asarray(points, dtype=np.float64).T, center,
+                        order="C")
+    moved *= 1.0 - t
+    moved += center
+    return moved.T
 
 
 def movement_cost(original: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -301,6 +310,10 @@ def build_tables(config: GameConfig) -> GameTables:
         a_tab = np.empty((n_t, len(alphas)))
         e_tab = np.empty((n_t, len(alphas)))
         for it, t in enumerate(ts.tolist()):
+            if counts[it] == 0:
+                # nothing can pass: every entry is the empty sum, +0.0
+                a_tab[it] = e_tab[it] = 0.0
+                continue
             part = sample[:counts[it]]
             moved = apply_attack(part, mu_g, t)
             pay = util.payoff(movement_cost(part, moved))

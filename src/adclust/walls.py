@@ -5,8 +5,10 @@ region mean is at most the chi-square quantile of the target level. A
 Manhattan wall contains x when its scaled-L1 score sum_i |x_i - mean_i|
 / std_i (scaled_l1_score) is at most eta(alpha), a level calibrated by
 Monte Carlo so a Gaussian fitted to the region puts probability alpha
-inside the diamond. Containment is closed (boundary points count as
-inside).
+inside the diamond. calibration_scores draws and scores that sample,
+and eta_of_alpha takes its quantiles, so a region calibrated once gets
+every further level from one np.quantile. Containment is closed
+(boundary points count as inside).
 
 Both scores work on dimension-major (q, n) deviations, taken once per
 call as one C-ordered subtraction, and sum their q per-dimension terms
@@ -275,22 +277,34 @@ def sample_gaussian(mean, cov, size: int, seed) -> np.ndarray:
     times the lower Cholesky factor of cov, plus mean."""
     mean = np.asarray(mean, dtype=np.float64)
     ell = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
-    z = np.random.default_rng(seed).standard_normal((size, mean.size))
-    return mean + z @ ell.T
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((size, mean.size)) @ ell.T
+    draws += mean  # in place: at most two (size, q) arrays at once
+    return draws
 
 
-def eta_of_alpha(stats: RegionStats, alpha, sample_size: int = 100_000,
-                 seed=0):
-    """Manhattan level eta(alpha): the empirical alpha-quantile of
-    s(x) = sum_i |x_i - mean_i| / std_i over one Gaussian draw. alpha may
-    be an array of levels (an array back) or one level (a float back)."""
-    levels = np.asarray(alpha, dtype=np.float64)
-    if not ((levels > 0.0) & (levels < 1.0)).all():
-        raise ValidationError("alpha must be in (0, 1)")
+def calibration_scores(stats: RegionStats, sample_size: int = 100_000,
+                       seed=0) -> np.ndarray:
+    """The Manhattan calibration: scaled_l1_score of sample_size draws
+    of N(mean, covariance) from seed (sample_gaussian)."""
     if sample_size < 2:
         raise ValidationError("sample_size must be at least 2")
     draws = sample_gaussian(stats.mean, stats.covariance, sample_size, seed)
-    eta = np.quantile(scaled_l1_score(stats, draws), alpha)
+    return scaled_l1_score(stats, draws)
+
+
+def eta_of_alpha(stats: RegionStats, alpha, sample_size: int = 100_000,
+                 seed=0, *, scores: np.ndarray | None = None):
+    """Manhattan level eta(alpha): the empirical alpha-quantile of the
+    calibration scores, calibration_scores(stats, sample_size, seed)
+    unless scores already holds them. alpha may be an array of levels
+    (an array back) or one level (a float back)."""
+    levels = np.asarray(alpha, dtype=np.float64)
+    if not ((levels > 0.0) & (levels < 1.0)).all():
+        raise ValidationError("alpha must be in (0, 1)")
+    if scores is None:
+        scores = calibration_scores(stats, sample_size, seed)
+    eta = np.quantile(scores, alpha)
     return float(eta) if np.ndim(alpha) == 0 else eta
 
 
@@ -300,6 +314,11 @@ def fit_euclidean_wall(stats: RegionStats, alpha: float) -> Wall:
 
 
 def fit_manhattan_wall(stats: RegionStats, alpha: float,
-                       sample_size: int = 100_000, seed=0) -> Wall:
-    radius = eta_of_alpha(stats, alpha, sample_size=sample_size, seed=seed)
+                       sample_size: int = 100_000, seed=0, *,
+                       scores: np.ndarray | None = None) -> Wall:
+    """The wall at eta(alpha); scores, when given, are the calibration
+    scores of (stats, sample_size, seed), so a new level costs one
+    quantile."""
+    radius = eta_of_alpha(stats, alpha, sample_size=sample_size, seed=seed,
+                          scores=scores)
     return Wall(kind="manhattan", stats=stats, level=alpha, radius=radius)

@@ -109,6 +109,30 @@ def test_apply_attack_moments():
                                atol=0.03)
 
 
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_attack_and_utility_do_not_depend_on_layout(wall_kind):
+    """C-ordered, Fortran-ordered and strided samples give the bits of
+    fl(m + fl(c fl(x - m))), and attacker_utility their table entries."""
+    config = small_config(sample_size=300, wall_kind=wall_kind)
+    tables = build_tables(config)
+    rows = draw(config.adversaries[0])
+    layouts = [rows, np.asfortranarray(rows), rows[::3], rows[::-2],
+               np.asfortranarray(rows)[5:250]]
+    for it in (0, 17, 50, 83, len(tables.ts) - 1):
+        t = float(tables.ts[it])
+        for sample in layouts:
+            moved = apply_attack(sample, tables.mu_g, t)
+            want = tables.mu_g + (1.0 - t) * (np.ascontiguousarray(sample)
+                                              - tables.mu_g)
+            assert moved.tobytes() == want.tobytes()
+        for ih in (0, 44, len(tables.alphas) - 1):
+            wall = wall_at(config, tables, ih)
+            util = [attacker_utility(config.utilities[0], sample,
+                                     tables.mu_g, t, wall)
+                    for sample in layouts[:2]]
+            assert util[0] == util[1] == tables.attacker[0][it, ih]
+
+
 def test_movement_cost_is_row_euclidean():
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
     b = np.array([[3.0, 4.0], [1.0, 1.0]])
@@ -254,6 +278,18 @@ def row_counts(config, tables):
     return contraction_counts(wall_at(config, tables, 0),
                               draw(config.adversaries[0]),
                               float(tables.radii.max()), 1.0 - tables.ts)[1]
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_rows_with_no_candidates_hold_zero_entries(wall_kind):
+    config = small_config(sample_size=300, wall_kind=wall_kind,
+                          alpha_step=0.05, t_step=0.05)
+    tables = build_tables(config)
+    empty = row_counts(config, tables) == 0
+    assert empty.any() and not empty.all()
+    for tab in (tables.attacker[0], tables.adv_error[0]):
+        assert all(same_bits(v, 0.0) for v in tab[empty].ravel())
+    assert_tables_match_direct_evaluation(config, tables)
 
 
 def scaled_config(center, scale, wall_kind, **kw):

@@ -155,3 +155,42 @@ def test_input_order_does_not_change_result():
             clusters, un = merge(pts, point_ids[perm], stat[perm],
                                  dt=1.0, rt=rt)
             assert ([list(c) for c in clusters], un.tolist()) == base
+
+
+def test_component_cache_equals_uncached_merge():
+    """A shared component dict changes no result: participant sets recur
+    in permuted listings with fresh stat and dt, on Gaussian points and
+    on the tie lattice (rt one pair's documented distance)."""
+    rng = np.random.default_rng(53)
+    for trial in range(80):
+        q = int(rng.integers(2, 5))
+        if trial % 2:
+            pts = rng.integers(-5, 6, size=(12, q)) * 0.1
+            a, b = rng.choice(12, size=2, replace=False)
+            rt = oracle_distance(pts[a], pts[b])
+            if rt == 0.0:
+                continue
+        else:
+            pts = rng.normal(size=(40, q))
+            rt = float(rng.uniform(0.2, 1.5))
+        n = pts.shape[0]
+        graph = rt_graph(pts, rt)
+        sets = [rng.choice(n, size=int(rng.integers(1, n + 1)),
+                           replace=False).astype(np.int64) for _ in range(3)]
+        components: dict = {}
+        used = set()
+        for _ in range(12):
+            chosen = sets[int(rng.integers(3))]
+            used.add(np.sort(chosen).tobytes())
+            point_ids = rng.permutation(chosen)
+            stat = rng.uniform(0.0, 2.0, size=point_ids.size)
+            dt = float(rng.uniform(0.2, 1.8))
+            if rng.integers(2):
+                dt = float(stat[0])  # the seed test is closed at dt
+            want_clusters, want_un = merge(pts, point_ids, stat, dt, rt, graph)
+            got_clusters, got_un = merge(pts, point_ids, stat, dt, rt, graph,
+                                         components=components)
+            assert [c.tolist() for c in got_clusters] == \
+                [c.tolist() for c in want_clusters]
+            assert got_un.tolist() == want_un.tolist()
+        assert set(components) == used

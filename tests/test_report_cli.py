@@ -551,31 +551,57 @@ def test_sweep_prepares_each_run_once(tmp_path, monkeypatch):
     assert calls == {"compute_rt": 2, "rt_graph": 2}
 
 
-def test_sweep_fits_each_wall_once_per_run(tmp_path, monkeypatch):
-    fits = []
-    real = core.fit_manhattan_wall
+def draws_and_walls_written(tmp_path, monkeypatch, kind):
+    """A two-run Manhattan sweep of sim2: (run seed, position, member
+    count, mean bytes) of every calibration draw, and the same key of
+    every wall its reports write."""
+    draws = []
+    real = core.calibration_scores
 
-    def counted(stats, alpha, sample_size, seed):
-        fits.append((tuple(seed), stats.member_count, stats.mean.tobytes()))
-        return real(stats, alpha, sample_size=sample_size, seed=seed)
+    def counted(stats, sample_size, seed):
+        draws.append((tuple(seed), stats.member_count, stats.mean.tobytes()))
+        return real(stats, sample_size, seed=seed)
 
-    monkeypatch.setattr(core, "fit_manhattan_wall", counted)
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--kind", "weight", "--preset", "sim2", "--wall",
+    monkeypatch.setattr(core, "calibration_scores", counted)
+    out = tmp_path / kind
+    assert main(["sweep", "--kind", kind, "--preset", "sim2", "--wall",
                  "manhattan", "--runs", "2", "--out", str(out)]) == 0
-    # (run seed, position), member count and mean of every wall written
     written = []
     for path in out.glob("report_*.json"):
         rep = json.loads(path.read_text())
         written += [((rep["params"]["seed"], pos), wall["member_count"],
                      np.asarray(wall["mean"]).tobytes())
                     for pos, wall in enumerate(rep["walls"])]
-    assert sorted(fits) == sorted(set(written))
-    assert len(fits) < len(written)
+    return draws, written
+
+
+def test_sweep_fits_each_wall_once_per_run(tmp_path, monkeypatch):
+    """k varies: one calibration draw per (run seed, position, members)."""
+    draws, written = draws_and_walls_written(tmp_path, monkeypatch, "weight")
+    assert sorted(draws) == sorted(set(written))
+    assert len(draws) < len(written)
+
+
+def test_wall_sweep_draws_each_calibration_once_per_run(tmp_path,
+                                                        monkeypatch):
+    """alpha varies: the levels of one region share its draw."""
+    draws, written = draws_and_walls_written(tmp_path, monkeypatch, "wall")
+    assert sorted(draws) == sorted(set(written))
+    assert len(draws) < len(written)
+
+
+def test_wall_sweep_runs_the_passes_once_per_k(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, core, ["pass1_labeled", "pass2_residual",
+                                            "match"])
+    assert main(["sweep", "--kind", "wall", "--preset", "sim3", "--runs", "2",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    # 2 runs x 3 distinct k, not 2 runs x 15 grid points
+    assert calls == dict.fromkeys(calls, 2 * len(set(cli.WALL_K_GRID)))
 
 
 @pytest.mark.parametrize("kind, preset, wall", [
-    ("weight", "sim1", "euclidean"), ("wall", "sim2", "manhattan")])
+    ("weight", "sim1", "euclidean"), ("wall", "sim2", "manhattan"),
+    ("wall", "sim3", "euclidean"), ("weight", "sim3", "manhattan")])
 def test_sweep_reports_equal_direct_adclust_reports(tmp_path, kind, preset,
                                                     wall):
     out = tmp_path / "sweep"

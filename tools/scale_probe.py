@@ -33,7 +33,10 @@ peak RSS (ru_maxrss) is its own. A stage time is the inclusive wall time
 of the calls adclust.core makes to it (merge runs inside the three
 passes). _near_cells, the occupied-cell neighbourhood search, is timed
 at the calls adclust.grid makes to it; it lies inside compute_rt, whose
-time includes it. Every time is the median over --repeat calls. --root
+time includes it. calibration_scores, the Manhattan calibration draw,
+lies outside fit_manhattan_wall (core calls it once per wall region and
+keeps its scores); a checkout without it reads 0 there. Every time is
+the median over --repeat calls. --root
 picks the checkout whose src/ and perfbench/ are imported (default: the
 one holding this script), so one probe can measure two checkouts.
 Prints one JSON object per line.
@@ -53,7 +56,8 @@ from pathlib import Path
 STAGES = ("build_grid", "compute_rt", "rt_graph", "compute_density",
           "compute_dt", "fit_kernel", "pipeline_scores", "pass3_global",
           "pass1_labeled", "pass2_residual", "merge", "match",
-          "fit_region_stats", "fit_euclidean_wall", "fit_manhattan_wall")
+          "fit_region_stats", "calibration_scores", "fit_euclidean_wall",
+          "fit_manhattan_wall")
 GRID_STAGES = ("_near_cells",)  # called inside compute_rt
 Q8_SIZES = (675, 675, 150)  # cluster_q8's three_blobs sizes
 SWEEP_N = 20_000
@@ -103,7 +107,8 @@ def stage_times(dataset, params, repeat: int) -> dict:
 
     for module, names in ((core, STAGES), (grid, GRID_STAGES)):
         for name in names:
-            setattr(module, name, timed(name, getattr(module, name)))
+            if hasattr(module, name):  # an older checkout may lack one
+                setattr(module, name, timed(name, getattr(module, name)))
     runs = []
     for _ in range(repeat):
         times.clear()
