@@ -353,11 +353,13 @@ def prepare(dataset: Dataset, params: AdclustParams) -> Stage:
     everything that depends on neither k nor alpha."""
     pts = dataset.points
     grid = build_grid(pts, params.target_fraction)
-    clf = fit_kernel(dataset, bandwidth=params.bandwidth)
     rt, a_p, _ = compute_rt(grid, pts, params.coef_rt)
     if rt <= 0:
         raise ValidationError("computed rt is zero: the points are coincident "
                               "or their squared distances underflow")
+    # after the rt check: where every point coincides, that is the fault
+    # to report, not that the labeled ones do
+    clf = fit_kernel(dataset, bandwidth=params.bandwidth)
     graph = rt_graph(pts, rt)
     n_p = compute_density(grid, pts, rt, graph=graph)
     dt, _ = compute_dt(grid, n_p, params.coef_dt, params.log_base)

@@ -16,30 +16,39 @@ every strategy pair, precomputed into per-adversary tables over the
   alpha; attackers jointly pick the profile maximizing the sum of their
   utilities (ties toward smaller total t, then smaller alpha).
 
-Every pass fraction is an exact count over the sorted scores, and every
-payoff entry is a correctly rounded mean: the exact sum of the payoffs
-of the objects inside the wall, rounded once, divided by the sample
-size. Both depend only on which objects pass, so build_tables works on
-each t row only where an object can pass the widest wall. In exact
-arithmetic, contraction toward the wall's own mean scales every score
-by (1 - t)^2 (Mahalanobis) or (1 - t) (scaled L1), so the objects that
-can pass are the first ones in the order of their scores at t = 0. Each
-adversary sample is therefore scored once by the wall's own kind score,
-held once in that order (dimension-major, so the attack, its cost and
-the wall score step along the sample), and walls.contraction_counts
-gives each row the prefix past which every object, with the float
-error of the scaling bounded, scores above the widest wall. The row
-attacks, scores and costs that prefix only, and a row whose prefix is
-empty takes its zero entries directly. The objects a radius passes
-are its first ones in score order, so the row's entries come from one
-exact prefix sum of the sorted payoffs (exact.prefix_sums), and direct
-evaluation sums the masked payoffs of the whole sample with
-exact.row_sums. Both are bitwise math.fsum of the same values, so direct
-evaluation and table lookup agree bitwise whatever the order of the
-sample, and results do not depend on BLAS threading. A wall score does
-not depend on the layout of its input or on the other objects scored
-with it, so the direct evaluation of a row-major draw gives the same
-bits.
+Every pass fraction is an exact count of the objects inside the wall,
+and every payoff entry is a correctly rounded mean: the exact sum of the
+payoffs of the objects inside the wall, rounded once, divided by the
+sample size. Both depend only on which objects pass, and build_tables
+finds those sets without a wall score per t row. In exact arithmetic,
+contraction toward the wall's own mean scales every score by (1 - t)^2
+(Mahalanobis) or (1 - t) (scaled L1), so each adversary sample is scored
+once, by the wall's own kind score, and held once in the order of those
+scores (dimension-major, so the attack and its cost step along the
+sample). walls.contraction_counts bounds the float error of the scaling
+and gives each (t, alpha) cell two counts in that order: the first sure
+objects pass the cell's radius and the objects from reach on do not.
+Between them lies the cell's band, the objects a few roundings from the
+radius that only their score decides. Bands are rare (none on the
+presets at seeds 0-9). A row only attacks and costs the objects up to
+its widest reach; where some cell of the row has a band, the row's band
+objects, and only they, are scored, each run of consecutive band
+objects is put in the order of those scores, and the runs' order is
+applied to their payoffs. A cell passes its sure objects and the band
+objects whose score is at most its radius, and every radius passes a
+prefix of the row, so each row fills its entries from one exact prefix
+sum (exact.prefix_sums); a row that nothing can reach takes its zero
+entries directly. Where a guard of contraction_counts fails, a row's
+band is the whole row, one run. At t = 1 every object lands on the mean
+and scores +-0 (contraction_counts proves it), so that row passes every
+object at every radius with no score.
+Direct evaluation sums the masked payoffs of the whole sample with
+exact.row_sums; both sums are bitwise math.fsum of the same values, so
+direct evaluation and table lookup agree bitwise whatever the order of
+the sample, and results do not depend on BLAS threading. A wall score
+does not depend on the layout of its input or on the other objects
+scored with it, so the direct evaluation of a row-major draw and the
+score of a row's band give the same bits.
 
 The follower search streams the joint profiles in chunks and takes the
 defender's best responses for a whole chunk at once, through the same
@@ -263,6 +272,66 @@ def defender_utility(normal_error, adversary_error, cost_c: float):
     return -100.0 * (normal_error + cost_c * adversary_error)
 
 
+def _band(sure: np.ndarray, reach: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(spots, runs): every position p with sure[j] <= p < reach[j] for
+    some j, in increasing order, and the maximal run of consecutive
+    positions each belongs to, numbered in that order."""
+    by = np.argsort(sure, kind="stable")
+    lo, hi = sure[by], reach[by]
+    # clipped to where the ranges before it end, the ranges are disjoint
+    # and in order, and still cover the band
+    lo[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1])
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    size = hi - lo
+    spots = np.repeat(lo - (np.cumsum(size) - size), size) + \
+        np.arange(size.sum())
+    fresh = np.ones(lo.size, dtype=bool)
+    fresh[1:] = lo[1:] != hi[:-1]
+    return spots, np.repeat(np.cumsum(fresh) - 1, size)
+
+
+def _run_counts(runs: np.ndarray, scores: np.ndarray, run: np.ndarray,
+                radius: np.ndarray) -> np.ndarray:
+    """For each query j, how many of the scores in run[j] are at most
+    radius[j]; runs is nondecreasing. One sort of the scores and the
+    queries by (run, value), a score before a query it ties (nan
+    scores last)."""
+    is_query = np.arange(scores.size + run.size) >= scores.size
+    merged = np.lexsort((is_query, np.concatenate([scores, radius]),
+                         np.concatenate([runs, run])))
+    below = np.cumsum(~is_query[merged])
+    place = np.empty_like(merged)
+    place[merged] = np.arange(merged.size)
+    return below[place[scores.size:]] - np.searchsorted(runs, run)
+
+
+def _settle_band(wall: Wall, moved: np.ndarray, pay: np.ndarray,
+                 radii: np.ndarray, sure: np.ndarray, reach: np.ndarray
+                 ) -> np.ndarray:
+    """The pass count of each radius of one t row with a band, whose
+    moved objects and payoffs are moved and pay; pay is put in place in
+    the order that makes every radius pass a prefix of the row.
+
+    The row's band is every position p with sure[ih] <= p < reach[ih]
+    for some ih. Its objects are scored, and each maximal run of
+    consecutive band positions is put in score order (stable). A cell's
+    band [sure, reach) lies in one run: the objects before the run pass
+    the cell's radius and those after it do not, so the cell passes the
+    objects before the run and those of the run whose score is at most
+    its radius."""
+    spots, runs = _band(sure, reach)
+    scores = wall.score(moved[spots])
+    pay[spots] = pay[spots[np.lexsort((scores, runs))]]
+    cells = np.flatnonzero(reach > sure)
+    run = runs[np.searchsorted(spots, sure[cells])]
+    passed = sure.copy()
+    passed[cells] = spots[np.searchsorted(runs, run)] + _run_counts(
+        runs, scores, run, radii[cells])
+    return passed
+
+
 def build_tables(config: GameConfig) -> GameTables:
     """Sample the populations once and fill every lattice cell."""
     normal = config.normal
@@ -296,36 +365,35 @@ def build_tables(config: GameConfig) -> GameTables:
     adv_error: list[np.ndarray] = []
     for spec, util in zip(config.adversaries, config.utilities):
         raw = sample_gaussian(spec.mean, spec.cov, spec.sample_size, spec.seed)
-        # at ts[it], only the first counts[it] samples in the wall's
-        # reference order can pass the widest wall (c = fl(1 - t), as
-        # apply_attack takes it)
-        order, counts = contraction_counts(wall, raw, float(radii.max()),
-                                           1.0 - ts)
-        # held once, in that order and dimension-major, so the attack, its
-        # cost and the score step along the sample with no transposing copy
+        # at ts[it] and radius ih, the first sure[it, ih] samples in the
+        # wall's reference order pass and those from reach[it, ih] on do
+        # not (c = fl(1 - t), as apply_attack takes it)
+        order, reach, sure = contraction_counts(wall, raw, radii, 1.0 - ts)
+        # held once, in that order and dimension-major, so the attack and
+        # its cost step along the sample with no transposing copy
         sample = np.empty(raw.shape, order="F")
         np.take(raw, order, axis=0, out=sample)
         del raw
         n = spec.sample_size
+        passed = sure.copy()
         a_tab = np.empty((n_t, len(alphas)))
-        e_tab = np.empty((n_t, len(alphas)))
         for it, t in enumerate(ts.tolist()):
-            if counts[it] == 0:
+            width = int(reach[it].max())
+            if width == 0:
                 # nothing can pass: every entry is the empty sum, +0.0
-                a_tab[it] = e_tab[it] = 0.0
+                a_tab[it] = 0.0
                 continue
-            part = sample[:counts[it]]
+            part = sample[:width]
             moved = apply_attack(part, mu_g, t)
             pay = util.payoff(movement_cost(part, moved))
-            s = wall.score(moved)
-            order = np.argsort(s, kind="stable")
-            passed = np.searchsorted(s[order], radii, side="right")
-            e_tab[it] = passed / n
-            # the samples that pass radius ih are the first passed[ih] in
-            # score order, so every entry is one prefix of the sorted pay
-            a_tab[it] = prefix_sums(pay[order], passed) / n
+            if (reach[it] > sure[it]).any():
+                passed[it] = _settle_band(wall, moved, pay, radii, sure[it],
+                                          reach[it])
+            # the samples that pass radius ih are the first passed[it, ih],
+            # so every entry is one prefix of pay
+            a_tab[it] = prefix_sums(pay, passed[it]) / n
         attacker.append(a_tab)
-        adv_error.append(e_tab)
+        adv_error.append(passed / n)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,
                       adv_error=adv_error, normal_error=normal_error,
                       stats=stats, mu_g=mu_g, config=config)

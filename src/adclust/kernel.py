@@ -21,7 +21,7 @@ from .dataset import LABEL_NONE, Dataset
 from .errors import InsufficientLabelsError, ValidationError
 from .exact import row_sums, sq_distance_blocks
 
-BANDWIDTH_FLOOR = 1e-12
+_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -31,22 +31,30 @@ class KernelClassifier:
     bandwidth: float
 
 
+def _pair_distances(points: np.ndarray) -> np.ndarray:
+    """The distance of every unordered pair of rows of points."""
+    ids = np.arange(points.shape[0])
+    return np.concatenate([np.sqrt(sq[ids > ids[lo:lo + sq.shape[0], None]])
+                           for lo, sq in sq_distance_blocks(points.T,
+                                                            points.T)])
+
+
 def median_pairwise_distance(points: np.ndarray) -> float:
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         raise ValidationError("need at least two points for a pairwise median")
-    ids = np.arange(n)
-    dists = [np.sqrt(sq[ids > ids[lo:lo + sq.shape[0], None]])
-             for lo, sq in sq_distance_blocks(points.T, points.T)]
-    return float(np.median(np.concatenate(dists)))
+    return float(np.median(_pair_distances(points)))
 
 
 def fit_kernel(dataset: Dataset, bandwidth: float | None = None) -> KernelClassifier:
     """Fit on the labeled subset.
 
-    bandwidth defaults to the median pairwise distance among the labeled
-    points, floored at a small epsilon so coincident labels stay usable.
-    Requires at least one labeled point of each class.
+    A given bandwidth is used as given. The default is the median
+    pairwise distance among the labeled points or, where that is 0, their
+    smallest positive pairwise distance: a length of the data either way,
+    so scaling the points by a power of two scales it by the same power
+    and leaves the scores unchanged. Labeled points that all coincide
+    raise ValidationError, as does a bandwidth whose 2 bandwidth^2 is not
+    a normal float. Requires at least one labeled point of each class.
     """
     ids = dataset.labeled_ids()
     y = dataset.labels[ids]
@@ -55,9 +63,18 @@ def fit_kernel(dataset: Dataset, bandwidth: float | None = None) -> KernelClassi
     pts = dataset.points[ids]
     if bandwidth is None:
         bandwidth = median_pairwise_distance(pts)
+        if bandwidth == 0.0:
+            dists = _pair_distances(pts)
+            dists = dists[dists > 0.0]
+            if dists.size == 0:
+                raise ValidationError("labelled points coincide")
+            bandwidth = float(dists.min())
     elif not 0.0 < bandwidth < math.inf:
         raise ValidationError("bandwidth must be positive and finite")
-    bandwidth = max(float(bandwidth), BANDWIDTH_FLOOR)
+    bandwidth = float(bandwidth)
+    # score divides by 2 bandwidth^2, which must be a normal float
+    if not _NORMAL <= 2.0 * bandwidth * bandwidth < math.inf:
+        raise ValidationError("bandwidth squared leaves the float range")
     return KernelClassifier(labeled_points=pts,
                             labels01=y.astype(np.float64),
                             bandwidth=bandwidth)

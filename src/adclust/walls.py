@@ -163,25 +163,41 @@ class Wall:
         return self.score(points) <= self.radius
 
 
-def contraction_counts(wall: Wall, points: np.ndarray, top: float,
-                       factors) -> tuple[np.ndarray, np.ndarray]:
-    """(order, counts): the rows of points in reference order, and for
-    each factor c how many of them, in that order, can score at most top
-    once contracted by c toward the wall's mean.
+def contraction_counts(wall: Wall, points: np.ndarray, radii, factors
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, reach, sure): the rows of points in reference order and,
+    for each factor c and radius r, how many of them in that order can
+    score at most r once contracted by c toward the wall's mean (reach)
+    and how many surely do (sure). Both counts have the shape
+    factors.shape + radii.shape.
 
-    The reference score R of a row x is the wall's own kind score of x
-    (mahalanobis_sq or scaled_l1), and order is its stable argsort.
-    Contracting x by a float c in [0, 1] gives y = fl(m + fl(c fl(x -
-    m))), m the wall mean. counts[j] is the number of rows with R at
-    most a limit L(c_j), and every row with R > L(c) has a computed kind
-    score of y above top, so the rows that can score at most top are a
-    prefix of order. L is inf (the count is every row) where c = 0 and
-    where the guards below fail.
+    The reference score R of a row x is wall.score(x), and order is its
+    stable argsort. Contracting x by a float c in [0, 1] gives y = fl(m +
+    fl(c fl(x - m))), m the wall mean, as game.apply_attack does, and
+    S(y) is the computed score of y. Two limits per (c, r) bound S(y)
+    through R:
 
-    Proof. u = 2^-53. Every rounding is fl(a o b) = (a o b)(1 + e) + h
-    with |e| <= u, |h| <= 2^-1075 for a product or quotient and h = 0
-    for a sum or difference; gamma_k = k u / (1 - k u). With d = fl(x -
-    m), e' = fl(c d) and y = fl(m + e'), the deviation the score takes is
+    - every row with R > L(c, r) has S(y) > r; reach counts the rows
+      with R <= L, so the rows that can pass r are a prefix of order;
+    - every row with R < Lambda(c, r) has S(y) <= r; sure counts them.
+
+    So sure <= reach, and only the rows between them can go either way.
+    Where a guard below fails, L = inf and Lambda = -inf: reach is every
+    row and sure is none. At c = 0, L = inf, and Lambda = inf wherever
+    every R is finite and r >= 0.
+
+    c = 0. A finite R means a finite d = fl(x - m) (an infinite
+    coordinate makes the score inf or nan), so fl(0 d) = +-0, y = fl(m
+    +- 0) equals m, and fl(y - m) = +0 in every coordinate. Its scaled-L1
+    terms are +0; the two triangular solves of a zero right-hand side
+    return zeros, so every term of its Mahalanobis sum is a signed zero.
+    S(y) = +-0 <= r: every row passes every radius r >= 0.
+
+    Proof of the limits. u = 2^-53. Every rounding is fl(a o b) = (a o
+    b)(1 + e) + h with |e| <= u, |h| <= 2^-1075 for a product or quotient
+    and h = 0 for a sum or difference; gamma_k = k u / (1 - k u). With d
+    = fl(x - m), e' = fl(c d) and y = fl(m + e'), the deviation the score
+    takes is
 
         d' = fl(y - m) = c d (1 + e1)(1 + e2)(1 + e3) + e2 m (1 + e3) + h',
         |d'_i - c d_i| <= gamma_3 c |d_i| + u (1 + u) |m_i| + 2^-1074.
@@ -189,24 +205,32 @@ def contraction_counts(wall: Wall, points: np.ndarray, top: float,
     q < 2^20 (the q x q covariance is held), and the guards are: every R
     finite and at most 2^500; for Manhattan every std >= 2^-100; for
     Euclidean the lower Cholesky factor F of the wall has entries at most
-    2^100 and the bounds N, g below satisfy N <= 2^100, g <= 2^-20.
-    Under them every underflow term h below adds less than 2^-830 in
-    total, so _TINY = 2^-800 covers them; and a row with R > L(c) has
-    R <= 2^500 and u |m_i| / s_i < c R (Manhattan) or u ||m|| < c
-    sqrt(R) / N (Euclidean), so no step of its moved score overflows.
+    2^100 and the bounds N, g below satisfy N <= 2^100, g <= 2^-20; for
+    Lambda also every |m_i| and r at most 2^500. Under them every
+    underflow term h below adds less than 2^-830 in total, so _TINY =
+    2^-800 covers them, and no step of the moved score of a row that a
+    limit decides overflows: a row with R > L(c, r) has R <= 2^500 and u
+    |m_i| / s_i < c R (Manhattan) or u ||m|| < c sqrt(R) / N
+    (Euclidean), and a row with R < Lambda(c, r) has |y_i| <= |m_i| +
+    |d_i| < 2^1014 and S(y) <= r <= 2^500.
 
     Manhattan (s the stds, S = sum of |d_i| / s_i in dimension order).
     Terms are >= 0, so a dimension-order sum of q of them is within
     (1 +- u)^(q - 1) of the exact sum, and each term within 1 +- u of
-    |d_i| / s_i. With M = sum_i |m_i| / s_i, the moved score is
+    |d_i| / s_i. With M = sum_i |m_i| / s_i, the moved score satisfies
 
         S(y) >= c R (1 - u)^(q + 3) (1 + u)^-q - u (1 + u) M - _TINY,
+        S(y) <= c R (1 + u)^(q + 3) (1 - u)^-q + u (1 + u)^(q + 1) M
+                + _TINY,
 
-    which exceeds top where R > (top + u (1 + u) M + _TINY)
-    (1 + u)^q (1 - u)^-(q + 3) / c. L(c) = (1 + 4 (q + 2) u) (top + 2 u M
-    + _TINY) / c, as computed, is at least that: its factor covers the
-    (1 + u)^q (1 - u)^-(q + 3) above and the five roundings of the
-    formula, and 2 u M (M summed in float) covers u (1 + u) M.
+    so S(y) > r where R > (r + u (1 + u) M + _TINY) (1 + u)^q (1 -
+    u)^-(q + 3) / c, and S(y) <= r where R < (r - u (1 + u)^(q + 1) M -
+    _TINY) (1 - u)^q (1 + u)^-(q + 3) / c. L(c, r) = (1 + 4 (q + 2) u)
+    (r + 2 u M + _TINY) / c and Lambda(c, r) = (1 - 4 (q + 2) u) (r - 2
+    u M - _TINY) / c, as computed, are at least and at most these: their
+    factors cover the powers of 1 +- u above and the five roundings of
+    each formula, and 2 u M (M summed in float) covers u (1 + u)^(q + 1)
+    M.
 
     Euclidean (F the factor, P = F^-1, Q(v) = ||P v||^2). Each of the two
     triangular solves of cho_solve (LAPACK potrs) returns x with (T +
@@ -225,34 +249,52 @@ def contraction_counts(wall: Wall, points: np.ndarray, top: float,
     within ((1 - g)^-2 - 1) Q(v) of Q(v), and |v|^T |z| <= K Q(v) /
     (1 - g)^2: the computed score of v is within 4 g Q(v) of Q(v).
     From the deviation above, ||P (d' - c d)|| <= gamma_3 c K sqrt(Q(d))
-    + a with a = N (u (1 + u) ||m|| + sqrt(q) 2^-1074), so sqrt(Q(d'))
-    >= c (1 - g) sqrt(Q(d)) - a. Chaining R <= (1 + 4g) Q(d), S(y) >=
-    (1 - 4g) Q(d') and the underflow terms, S(y) > top wherever
+    + a with a = N (u (1 + u) ||m|| + sqrt(q) 2^-1074), so
 
-        R > _TINY + (1 + 11 g) ((sqrt(top + _TINY) + D) / c)^2,
+        c (1 - g) sqrt(Q(d)) - a <= sqrt(Q(d')) <= c (1 + g) sqrt(Q(d)) + a.
 
-    with D = u (1 + u) N ||m|| plus the underflow terms (below _TINY).
-    L(c) = _TINY + (1 + 16 g) ((sqrt(top + _TINY) + D') / c)^2, D' = 2 u
-    N ||m|| + _TINY, as computed, is at least that: 5 g >= 20 u covers
-    its nine roundings.
+    Chaining R <= (1 + 4g) Q(d), S(y) >= (1 - 4g) Q(d') and the underflow
+    terms, S(y) > r wherever
+
+        R > _TINY + (1 + 11 g) ((sqrt(r + _TINY) + D) / c)^2,
+
+    with D = u (1 + u) N ||m|| plus the underflow terms (below _TINY);
+    chaining R >= (1 - 4g) Q(d), S(y) <= (1 + 4g) Q(d') the same way,
+    S(y) <= r wherever
+
+        R < (1 - 10 g) ((sqrt(r - _TINY) - 1.0001 D) / c)^2 - _TINY,
+
+    the bracket being >= 0. L(c, r) = _TINY + (1 + 16 g) ((sqrt(r +
+    _TINY) + D') / c)^2 and Lambda(c, r) = (1 - 16 g) (max(0, (1 - 4 u)
+    sqrt(r - _TINY) - D') / c)^2 - _TINY, D' = 2 u N ||m|| + _TINY, as
+    computed, are at least and at most these: 1 - 4u keeps the rounded
+    root below sqrt(r - _TINY), and 5 g >= 20 u covers the nine
+    roundings after it (and the nine of L).
     """
     q = wall.stats.mean.size
-    if wall.kind == "euclidean":
-        ref = wall.mahalanobis_sq(points)
-    else:
-        ref = wall.scaled_l1(points)
+    ref = wall.score(points)
     order = np.argsort(ref, kind="stable")
     ref = ref[order]
+    r = np.asarray(radii, dtype=np.float64)
     c = np.asarray(factors, dtype=np.float64)
-    limits = np.full(c.shape, np.inf)
+    c = c.reshape(c.shape + (1,) * r.ndim)
+    shape = np.broadcast_shapes(c.shape, r.shape)
+    upper, lower = np.full(shape, np.inf), np.full(shape, -np.inf)
+    # (over)flows at c = 0 and past the guards land only where masked;
+    # each limit is computed in place, as it is the largest array here
     live = (c > 0.0) & (np.abs(ref) <= _REACH).all()
-    with np.errstate(over="ignore"):
+    bounded = live & (np.abs(wall.stats.mean) <= _REACH).all() & \
+        (r <= _REACH)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if wall.kind == "manhattan":
             stds = wall.stats.stddevs
-            spread = (np.abs(wall.stats.mean) / stds).sum()
+            spread = 2.0 * _U * (np.abs(wall.stats.mean) / stds).sum()
             if stds.min() >= 1.0 / _SCALE:
-                limits[live] = (1.0 + 4 * (q + 2) * _U) * (
-                    top + 2.0 * _U * spread + _TINY) / c[live]
+                widen = 4 * (q + 2) * _U
+                np.divide((1.0 + widen) * (r + spread + _TINY), c, out=upper)
+                np.divide((1.0 - widen) * (r - spread - _TINY), c, out=lower)
+                np.copyto(upper, np.inf, where=~live)
+                np.copyto(lower, -np.inf, where=~bounded)
         else:
             factor = np.tril(wall._cho[0])
             inverse = solve_triangular(factor, np.eye(q), lower=True)
@@ -263,13 +305,23 @@ def contraction_counts(wall: Wall, points: np.ndarray, top: float,
                     and g <= 2.0 ** -20):
                 mean = wall.stats.mean
                 shift = 2.0 * _U * norm_inv * np.sqrt((mean * mean).sum())
-                root = np.sqrt(top + _TINY) + shift + _TINY
-                limits[live] = _TINY + (1.0 + 16.0 * g) * (
-                    root / c[live]) ** 2
-    counts = np.full(c.shape, ref.size)
-    certified = np.isfinite(limits)
-    counts[certified] = np.searchsorted(ref, limits[certified], side="right")
-    return order, counts
+                np.divide(np.sqrt(r + _TINY) + shift + _TINY, c, out=upper)
+                upper *= upper
+                upper *= 1.0 + 16.0 * g
+                upper += _TINY
+                np.copyto(upper, np.inf, where=~live)
+                root = np.sqrt(np.maximum(r - _TINY, 0.0)) * (
+                    1.0 - 4.0 * _U) - shift - _TINY
+                np.divide(np.maximum(root, 0.0), c, out=lower)
+                lower *= lower
+                lower *= 1.0 - 16.0 * g
+                lower -= _TINY
+                np.copyto(lower, -np.inf, where=~bounded)
+    if np.isfinite(ref).all():
+        np.copyto(lower, np.inf, where=(c == 0.0) & (r >= 0.0))
+    reach = np.where(np.isfinite(upper),
+                     np.searchsorted(ref, upper, side="right"), ref.size)
+    return order, reach, np.searchsorted(ref, lower, side="left")
 
 
 def sample_gaussian(mean, cov, size: int, seed) -> np.ndarray:

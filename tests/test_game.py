@@ -251,28 +251,6 @@ def test_huge_payoff_cells_match_direct_evaluation_bitwise(k_max):
     assert_tables_match_direct_evaluation(config, tables)
 
 
-def test_cells_hold_when_contraction_reorders_the_scores(monkeypatch):
-    # build_tables picks each t row's candidates by the wall's own kind
-    # score, which contraction scales, and sorts them by Wall.score. A
-    # score that only grows keeps every blocked sample blocked but
-    # reorders the sample from row to row; the cells must not care.
-    score = Wall.score
-
-    def scrambled(self, points):
-        wobble = np.sin(1e3 * np.asarray(points)[:, 0]) ** 2
-        return score(self, points) * (1.0 + wobble)
-
-    monkeypatch.setattr(Wall, "score", scrambled)
-    config = small_config(sample_size=300, alpha_step=0.05, t_step=0.05)
-    tables = build_tables(config)
-    sample = draw(config.adversaries[0])
-    wall = wall_at(config, tables, 0)
-    orders = [np.argsort(wall.score(apply_attack(sample, tables.mu_g, t)),
-                         kind="stable") for t in tables.ts.tolist()]
-    assert all((a != b).any() for a, b in zip(orders, orders[1:-1]))
-    assert_tables_match_direct_evaluation(config, tables)
-
-
 def row_counts(config, tables):
     """Adversary 0's candidate count per t row, as build_tables takes it."""
     return contraction_counts(wall_at(config, tables, 0),
@@ -290,6 +268,129 @@ def test_rows_with_no_candidates_hold_zero_entries(wall_kind):
     for tab in (tables.attacker[0], tables.adv_error[0]):
         assert all(same_bits(v, 0.0) for v in tab[empty].ravel())
     assert_tables_match_direct_evaluation(config, tables)
+
+
+def random_wall(kind, q, center, scale, rng):
+    """A wall around center with a random covariance of size scale^2."""
+    a = rng.standard_normal((q, q))
+    cov = scale ** 2 * (a @ a.T + 0.1 * np.eye(q))
+    mean = np.asarray(center, dtype=np.float64)
+    stats = RegionStats(mean=mean, covariance=cov,
+                        stddevs=np.sqrt(np.diag(cov)), member_count=2)
+    return Wall(kind=kind, stats=stats, level=0.5, radius=1.0)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("q", [2, 3, 8])
+@pytest.mark.parametrize("far", [False, True])
+def test_contraction_limits_bound_the_moved_scores(kind, q, far):
+    # the first sure rows in reference order pass radius r once moved,
+    # and the rows from reach on do not, for every factor and radius
+    rng = np.random.default_rng([q, far])
+    center = np.resize([1e6, -1e6], q) if far else np.zeros(q)
+    scale = 1e-9 if far else 1.0
+    wall = random_wall(kind, q, center, scale, rng)
+    points = center + scale * rng.standard_normal((1000, q)) * \
+        rng.uniform(0.1, 20.0, (1000, 1))
+    # factors down to 2^-20, and 0
+    ts = np.array([0.0, 0.3, 0.5, 0.9, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20,
+                   1.0])
+    moved = [wall.score(apply_attack(points, center, t)) for t in ts]
+    # radii on, just below and just above moved scores, so that rows sit
+    # within an ulp of the radii on both sides
+    picked = np.concatenate([s[rng.choice(len(points), 30)]
+                             for s in moved[:-1]])
+    radii = np.unique(np.concatenate([picked, np.nextafter(picked, 0.0),
+                                      np.nextafter(picked, np.inf)]))
+    radii = radii[radii > 0.0]
+    order, reach, sure = contraction_counts(wall, points, radii, 1.0 - ts)
+    assert reach.shape == sure.shape == (ts.size, radii.size)
+    assert (sure <= reach).all()
+    # at t = 1 every sample lands on the mean and passes every radius
+    assert (sure[-1] == len(points)).all() and (reach[-1] == len(points)).all()
+    undecided = 0
+    for it, s in enumerate(moved):
+        s = s[order]
+        for ih, r in enumerate(radii.tolist()):
+            assert (s[:sure[it, ih]] <= r).all(), (it, ih)
+            assert (s[reach[it, ih]:] > r).all(), (it, ih)
+        undecided += (reach[it] - sure[it]).sum()
+    decided = ((sure > 0) & (sure < len(points))).sum()
+    assert decided > radii.size
+    if not far:
+        # the band is a few roundings wide
+        assert undecided <= ts.size * radii.size
+
+
+def clump_config(wall_kind):
+    """Two adversaries, each a thin clump that sits on an interior radius
+    at one t: ih 4 at t = 0.3 and ih 12 at t = 0.6. A clump spreads by
+    1e-15 across the wall's boundary and by 1e-8 along it, so its
+    scores stay within a few roundings of the radius while its costs,
+    and so its payoffs, differ."""
+    config = small_config(sample_size=1000, wall_kind=wall_kind,
+                          alpha_step=0.05, t_step=0.1, joint_t_step=0.1)
+    tables = build_tables(config)
+    wall = wall_at(config, tables, 0)
+    power = 2 if wall_kind == "euclidean" else 1
+    clumps = []
+    for ih, t, direction in [(4, 0.3, (1.0, 0.5)), (12, 0.6, (-1.0, 0.5))]:
+        direction = np.array(direction)
+        unit = float(wall.score(tables.mu_g + direction)[0])
+        reach = (float(tables.radii[ih]) / unit) ** (1 / power) / (1.0 - t)
+        # the boundary's normal there: the score's gradient
+        if wall_kind == "euclidean":
+            normal = np.linalg.solve(tables.stats.covariance, direction)
+        else:
+            normal = np.sign(direction) / tables.stats.stddevs
+        along = np.array([-normal[1], normal[0]]) / np.hypot(*normal)
+        cov = 1e-16 * np.outer(along, along) + 1e-30 * np.eye(2)
+        clumps.append(dataclasses.replace(
+            config.adversaries[0], mean=tuple(tables.mu_g + reach * direction),
+            cov=tuple(map(tuple, cov)), seed=[ih, 1]))
+    return dataclasses.replace(config, adversaries=clumps,
+                               utilities=config.utilities * 2)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_cells_hold_with_clumps_on_interior_radii(wall_kind):
+    # each clump's row holds samples within a few roundings of a radius,
+    # which no limit decides: build_tables scores them and reorders them
+    # by their moved scores so that each radius passes a prefix
+    config = clump_config(wall_kind)
+    tables = build_tables(config)
+    for i, (it, ih) in enumerate([(3, 4), (6, 12)]):
+        assert 0.0 < tables.adv_error[i][it, ih] < 1.0
+        sample = draw(config.adversaries[i])
+        wall = wall_at(config, tables, ih)
+        order, reach, sure = contraction_counts(wall, sample, tables.radii,
+                                                1.0 - tables.ts)
+        lo, hi = sure[it, ih], reach[it, ih]
+        assert hi - lo >= 10
+        band = sample[order[lo:hi]]
+        moved = apply_attack(band, tables.mu_g, float(tables.ts[it]))
+        s = wall.score(moved)
+        # the reference order is not the moved scores' order
+        assert (np.diff(s) < 0.0).any()
+        assert (s <= wall.radius).any() and (s > wall.radius).any()
+        pay = config.utilities[i].payoff(movement_cost(band, moved))
+        assert np.unique(pay).size > (hi - lo) // 2
+    assert_tables_match_direct_evaluation(config, tables)
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_cells_hold_when_no_limit_decides_a_row(wall_kind, monkeypatch):
+    # where a guard fails, no limit decides any sample of a row, and
+    # each row's band is the whole row, one run; the clumps make its
+    # score order differ from the reference order
+    config = clump_config(wall_kind)
+
+    def undecided(wall, points, radii, factors):
+        order, reach, sure = contraction_counts(wall, points, radii, factors)
+        return order, np.full_like(reach, len(points)), np.zeros_like(sure)
+
+    monkeypatch.setattr(game, "contraction_counts", undecided)
+    assert_tables_match_direct_evaluation(config, build_tables(config))
 
 
 def scaled_config(center, scale, wall_kind, **kw):

@@ -9,9 +9,8 @@ from conftest import oracle_distance
 
 from adclust.dataset import Dataset
 from adclust.errors import InsufficientLabelsError, ValidationError
-from adclust.kernel import (BANDWIDTH_FLOOR, fit_kernel,
-                            median_pairwise_distance, pipeline_scores, score,
-                            weight)
+from adclust.kernel import (fit_kernel, median_pairwise_distance,
+                            pipeline_scores, score, weight)
 
 
 def make_dataset(points, labels):
@@ -89,13 +88,22 @@ def test_insufficient_labels():
 
 
 def test_bandwidth_validation_and_floor():
+    # there is no floor: a given bandwidth is used as given, and one whose
+    # 2 bandwidth^2 leaves the normal floats is rejected
     ds = make_dataset([[0.0], [1.0]], [1, 0])
-    for bandwidth in (-1.0, np.nan, np.inf):
+    for bandwidth in (-1.0, 0.0, np.nan, np.inf, 1e-300, 1e300):
         with pytest.raises(ValidationError):
             fit_kernel(ds, bandwidth=bandwidth)
-    coincident = make_dataset([[2.0], [2.0]], [1, 0])
-    clf = fit_kernel(coincident)
-    assert clf.bandwidth == BANDWIDTH_FLOOR
+    assert fit_kernel(ds, bandwidth=1e-20).bandwidth == 1e-20
+    # four of five labeled points coincide, so the median distance is 0
+    # and the default falls back to the smallest positive one
+    tied = make_dataset([[2.0], [2.0], [2.0], [2.0], [2.0 + 2.0 ** -51]],
+                        [1, 0, 1, 0, 1])
+    assert median_pairwise_distance(tied.points) == 0.0
+    assert fit_kernel(tied).bandwidth == 2.0 ** -51
+    coincident = make_dataset([[2.0], [2.0], [5.0]], [1, 0, -1])
+    with pytest.raises(ValidationError, match="labelled points coincide"):
+        fit_kernel(coincident)
 
 
 def test_weight_formula_and_range():

@@ -251,6 +251,26 @@ def test_exit_code_two_on_validation_problems(tmp_path, capsys):
         assert_one_error_line(main([*argv, "--seed", "-1"]), "seed")
 
 
+def test_coincident_labels_and_tiny_bandwidths_exit_two(tmp_path, capsys):
+    # the default bandwidth has no floor: labeled points that all coincide
+    # leave it no length to take, and a given bandwidth whose square
+    # underflows is rejected, not raised
+    rng = np.random.default_rng(4)
+    pts = rng.normal(0.0, 1.0, size=(60, 2))
+    pts[:4] = pts[0]
+    labels = np.full(60, -1, dtype=np.int8)
+    labels[:4] = (1, 0, 1, 0)
+    stacked = tmp_path / "stacked.csv"
+    write_csv(str(stacked), Dataset(pts, labels))
+    for extra, words in (((), ("labelled points coincide",)),
+                         (("--bandwidth", "1e-300"), ("bandwidth", "square"))):
+        assert main(["cluster", "--input", str(stacked), "--out",
+                     str(tmp_path / "o"), "--coef-rt", "0.9", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
+
+
 def test_exit_code_three_on_degenerate_geometry(tmp_path, capsys):
     isolated = tmp_path / "corners.csv"
     isolated.write_text("x0,x1,label\n"
