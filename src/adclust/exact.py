@@ -16,9 +16,13 @@ gives high parts that sum exactly and low parts whose float sum errs by
 less than a known bound; a sum is kept where that bound certifies it
 (certify) and goes to fsum otherwise. segment_sums sums the segments of
 a flat array this way, row_sums is segment_sums over rows of equal
-width, and prefix_sums sums the prefixes of one row; compute_rt's pair
-path calls split and certify itself. All read inf for a sum past the
-largest float, its correct rounding, where math.fsum raises.
+width, and prefix_sums sums the prefixes of every row of a block, from
+the segment sums between each row's ends (np.add.reduceat over the
+whole block, empty segments masked to 0) and their running sums: the
+certificate holds in any order of the additions, so a block gives each
+row the bits that row alone gives. compute_rt's pair path calls split
+and certify itself. All read inf for a sum past the largest float, its
+correct rounding, where math.fsum raises.
 """
 from __future__ import annotations
 
@@ -86,10 +90,10 @@ def sigmas(top: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(1.0, np.minimum(exp, 1023)), exp <= 1023
 
 
-def split(x: np.ndarray, sigma: np.ndarray, fits=True):
+def split(x: np.ndarray, sigma: np.ndarray, fits=True, out=None):
     """One power-of-two split of x, nonnegative and finite, at sigma
     (from sigmas; sigma and fits broadcast against x): (x with the
-    values that do not fit zeroed, their high parts).
+    values that do not fit zeroed, their high parts, in out if given).
 
     With u = 2^-53, high = fl(fl(x + sigma) - sigma) is a multiple of
     2 u sigma, so the highs of any of the w values sum exactly in any
@@ -97,7 +101,7 @@ def split(x: np.ndarray, sigma: np.ndarray, fits=True):
     """
     if not np.all(fits):
         x = x * fits
-    high = x + sigma
+    high = np.add(x, sigma, out=out)
     high -= sigma
     return x, high
 
@@ -158,25 +162,57 @@ def row_sums(block: np.ndarray) -> np.ndarray:
 
 
 def prefix_sums(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Correctly rounded sums of prefixes of one row: out[j] is bitwise
-    math.fsum(values[:ends[j]]) (inf where that overflows, as in fsum),
-    for 1-d nonnegative finite float64 values and integer ends in [0,
-    values.size].
+    """Correctly rounded sums of prefixes of each row of a block:
+    out[..., j] is bitwise math.fsum(values[..., :ends[..., j]]) (inf
+    where that overflows, as in fsum), for nonnegative finite float64
+    values of shape (..., W) and integer ends in [0, W] of shape (..., k),
+    with the same leading shape; a 1-d row and its ends are one row.
 
-    One split of the row, as in segment_sums: the running sums of the
-    highs are exact, and the running float sum of the lows errs by less
-    than 2 k^2 u^2 sigma after k values (whatever the order of the
-    additions). Each end keeps fl(t1 + t2) where certify proves it
-    correctly rounded; every other end, and every end of a row whose
-    sigma would pass 2^1023, goes to math.fsum of its prefix.
+    One split per row, as in segment_sums, at a sigma from the row max
+    and W. A row's ends, sorted, cut it into k segments (and a last one
+    that no end reads), and np.add.reduceat sums the highs, then the
+    lows, of every segment of the block in one call each, over the rows
+    laid out with a zero column after each, so that an end at W is a
+    valid index (that row's zero) even on the last row. reduceat gives
+    x[i], not 0, for an empty segment starting at i, so empty segments
+    are masked to 0. The running sums of a row's segment sums are its
+    prefix sums: those of the highs are exact, and those of the lows err
+    by less than 2 e^2 u^2 sigma at an end e whatever the order of the
+    additions, so the certificate does not depend on how the segments
+    are summed, and a row gets the same bits in any block. Each end
+    keeps fl(t1 + t2) where certify proves it correctly rounded; every
+    other end, and every end of a row whose sigma would pass 2^1023,
+    goes to math.fsum of its prefix.
     """
-    sigma, fits = sigmas(values.max(initial=0.0), values.size)
-    x, high = split(values, sigma, fits)
-    cum = np.zeros(values.size + 1)
-    np.cumsum(high, out=cum[1:])
-    t1 = cum[ends]
-    np.cumsum(np.subtract(x, high, out=high), out=cum[1:])
-    total, certified = certify(t1, cum[ends], sigma, ends)
-    for j in np.flatnonzero(~(certified & fits)).tolist():
-        total[j] = fsum(values[:ends[j]].tolist())
-    return total
+    width = values.shape[-1]
+    rows = values.reshape(math.prod(values.shape[:-1]), width)
+    count = np.asarray(ends).reshape(rows.shape[0], -1)
+    sigma, fits = sigmas(rows.max(axis=1, initial=0.0)[:, None], width)
+    padded = np.zeros((rows.shape[0], width + 1))
+    x, high = split(rows, sigma, fits, out=padded[:, :width])
+    starts = np.arange(0, padded.size, width + 1)
+    # every row's ends as indices into padded, sorted: row by row, since
+    # each row's indices lie below the next row's (a stable sort takes
+    # ends already in order in linear time)
+    at = (count + starts[:, None]).ravel()
+    by = np.argsort(at, kind="stable")
+    cuts = np.empty((count.shape[0], count.shape[1] + 1), dtype=np.intp)
+    cuts[:, 0] = starts
+    cuts[:, 1:] = at[by].reshape(count.shape)
+    empty = cuts[:, 1:] == cuts[:, :-1]
+
+    def running(parts: np.ndarray) -> np.ndarray:
+        """The sums of the prefixes of parts' rows at the ends."""
+        segment = np.add.reduceat(parts.ravel(), cuts.ravel())
+        segment = segment.reshape(cuts.shape)[:, :-1]
+        segment[empty] = 0.0
+        sums = np.empty(at.size)
+        sums[by] = np.cumsum(segment, axis=1).ravel()
+        return sums.reshape(count.shape)
+
+    t1 = running(padded)
+    np.subtract(x, high, out=high)
+    total, certified = certify(t1, running(padded), sigma, count)
+    for r, j in np.argwhere(~(certified & fits)).tolist():
+        total[r, j] = fsum(rows[r, :count[r, j]].tolist())
+    return total.reshape(np.shape(ends))

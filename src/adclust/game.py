@@ -25,23 +25,29 @@ contraction toward the wall's own mean scales every score by (1 - t)^2
 (Mahalanobis) or (1 - t) (scaled L1), so each adversary sample is scored
 once, by the wall's own kind score, and held once in the order of those
 scores (dimension-major, so the attack and its cost step along the
-sample). walls.contraction_counts bounds the float error of the scaling
-and gives each (t, alpha) cell two counts in that order: the first sure
-objects pass the cell's radius and the objects from reach on do not.
-Between them lies the cell's band, the objects a few roundings from the
-radius that only their score decides. Bands are rare (none on the
-presets at seeds 0-9). A row only attacks and costs the objects up to
-its widest reach; where some cell of the row has a band, the row's band
-objects, and only they, are scored, each run of consecutive band
-objects is put in the order of those scores, and the runs' order is
-applied to their payoffs. A cell passes its sure objects and the band
-objects whose score is at most its radius, and every radius passes a
-prefix of the row, so each row fills its entries from one exact prefix
-sum (exact.prefix_sums); a row that nothing can reach takes its zero
-entries directly. Where a guard of contraction_counts fails, a row's
-band is the whole row, one run. At t = 1 every object lands on the mean
-and scores +-0 (contraction_counts proves it), so that row passes every
-object at every radius with no score.
+sample), with its deviations fl(x - mu_g). walls.contraction_counts
+bounds the float error of the scaling and gives each (t, alpha) cell
+two counts in that order: the first sure objects pass the cell's radius
+and the objects from reach on do not. Between them lies the cell's
+band, the objects a few roundings from the radius that only their score
+decides. Bands are rare (none on the presets at seeds 0-9). A row only
+needs the objects up to its widest reach (its width). The rows are
+filled in blocks of consecutive t rows, each block at most
+exact.BLOCK_ELEMENTS payoffs (rows times its widest row; a wider row is
+a block of its own): a block attacks and costs its objects for all its
+rows in one broadcast array, with apply_attack's and movement_cost's
+elementwise formulas, and sets each row's payoffs past its own width to
++0. Where some cell of a row has a band, the row's band objects, and
+only they, are scored, each run of consecutive band objects is put in
+the order of those scores, and the runs' order is applied to their
+payoffs. A cell passes its sure objects and the band objects whose
+score is at most its radius, and every radius passes a prefix of the
+row, so a block fills all its rows' entries from one exact prefix sum
+(exact.prefix_sums); a row that nothing can reach is in no block and
+keeps its zero entries. Where a guard of contraction_counts fails, a
+row's band is the whole row, one run. At t = 1 every object lands on
+the mean and scores +-0 (contraction_counts proves it), so that row
+passes every object at every radius with no score.
 Direct evaluation sums the masked payoffs of the whole sample with
 exact.row_sums; both sums are bitwise math.fsum of the same values, so
 direct evaluation and table lookup agree bitwise whatever the order of
@@ -50,8 +56,9 @@ does not depend on the layout of its input or on the other objects
 scored with it, so the direct evaluation of a row-major draw and the
 score of a row's band give the same bits.
 
-The follower search streams the joint profiles in chunks and takes the
-defender's best responses for a whole chunk at once, through the same
+The follower search streams the joint profiles in lexicographic order,
+in chunks of consecutive flat profile ids (np.unravel_index), and takes
+the defender's best responses for a whole chunk at once, through the same
 elementwise operations as for one profile: every entry is bitwise the
 one-profile value, and memory is bounded by the chunk, not the lattice.
 Only the profiles whose float attacker sum, widened by its rounding
@@ -62,12 +69,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
 
 import numpy as np
 
 from .errors import GridBudgetError, ValidationError
-from .exact import prefix_sums, row_sums, sq_distances
+from .exact import BLOCK_ELEMENTS, prefix_sums, row_sums, sq_distances
 from .walls import RegionStats, Wall, chi2_quantile, contraction_counts, \
     eta_of_alpha, fit_region_stats, sample_gaussian
 
@@ -332,6 +338,24 @@ def _settle_band(wall: Wall, moved: np.ndarray, pay: np.ndarray,
     return passed
 
 
+def _row_blocks(widths: list[int]):
+    """(rows, widest): runs of consecutive t rows of nonzero width, in
+    order, each holding at most BLOCK_ELEMENTS payoffs (its row count
+    times its widest row), and that widest row; a row wider than
+    BLOCK_ELEMENTS is a block of its own."""
+    rows, widest = [], 0
+    for it, width in enumerate(widths):
+        if width == 0:
+            continue
+        if rows and (len(rows) + 1) * max(widest, width) > BLOCK_ELEMENTS:
+            yield rows, widest
+            rows, widest = [], 0
+        rows.append(it)
+        widest = max(widest, width)
+    if rows:
+        yield rows, widest
+
+
 def build_tables(config: GameConfig) -> GameTables:
     """Sample the populations once and fill every lattice cell."""
     normal = config.normal
@@ -369,29 +393,39 @@ def build_tables(config: GameConfig) -> GameTables:
         # wall's reference order pass and those from reach[it, ih] on do
         # not (c = fl(1 - t), as apply_attack takes it)
         order, reach, sure = contraction_counts(wall, raw, radii, 1.0 - ts)
-        # held once, in that order and dimension-major, so the attack and
-        # its cost step along the sample with no transposing copy
+        # held once, in that order and dimension-major, with its
+        # deviations fl(x - m), so each block of rows attacks and costs
+        # stepping along the sample
         sample = np.empty(raw.shape, order="F")
         np.take(raw, order, axis=0, out=sample)
         del raw
+        x = sample.T
+        dev = x - mu_g[:, None]
         n = spec.sample_size
+        # a row only works on the samples up to its widest reach; a row
+        # that nothing can reach keeps its entries at the empty sum, +0.0
+        widths = reach.max(axis=1)
+        banded = (reach > sure).any(axis=1)
         passed = sure.copy()
-        a_tab = np.empty((n_t, len(alphas)))
-        for it, t in enumerate(ts.tolist()):
-            width = int(reach[it].max())
-            if width == 0:
-                # nothing can pass: every entry is the empty sum, +0.0
-                a_tab[it] = 0.0
-                continue
-            part = sample[:width]
-            moved = apply_attack(part, mu_g, t)
-            pay = util.payoff(movement_cost(part, moved))
-            if (reach[it] > sure[it]).any():
-                passed[it] = _settle_band(wall, moved, pay, radii, sure[it],
-                                          reach[it])
+        a_tab = np.zeros((n_t, len(alphas)))
+        for rows, width in _row_blocks(widths.tolist()):
+            # fl(m + fl(c fl(x - m))), c = fl(1 - t), as apply_attack
+            # moves each row, and the cost as movement_cost takes it; the
+            # moved block holds q coordinates per payoff
+            moved = dev[:, None, :width] * (1.0 - ts[rows, None])
+            moved += mu_g[:, None, None]
+            pay = util.payoff(np.sqrt(sq_distances(x[:, None, :width],
+                                                   moved)))
+            for r, it in enumerate(rows):
+                w = widths[it]
+                pay[r, w:] = 0.0
+                if banded[it]:
+                    passed[it] = _settle_band(wall, moved[:, r, :w].T,
+                                              pay[r, :w], radii, sure[it],
+                                              reach[it])
             # the samples that pass radius ih are the first passed[it, ih],
-            # so every entry is one prefix of pay
-            a_tab[it] = prefix_sums(pay, passed[it]) / n
+            # so every entry is one prefix of its row of pay
+            a_tab[rows] = prefix_sums(pay, passed[rows]) / n
         attacker.append(a_tab)
         adv_error.append(passed / n)
     return GameTables(alphas=alphas, radii=radii, ts=ts, attacker=attacker,
@@ -440,14 +474,18 @@ def solve_follower(tables: GameTables) -> Equilibrium:
     t_indices = list(range(0, len(tables.ts), _joint_stride(config)))
     if tables.ts[t_indices[-1]] != 1.0:
         t_indices.append(len(tables.ts) - 1)
-    if len(t_indices) ** m > config.joint_budget:
+    lattice = np.array(t_indices)
+    size = lattice.size ** m
+    if size > config.joint_budget:
         raise GridBudgetError("grid budget exceeded; increase step")
 
     best = None
     shrink = 1.0 - 2 * m * np.finfo(np.float64).epsneg
-    profiles = product(t_indices, repeat=m)
-    while chunk := list(islice(profiles, _PROFILE_CHUNK)):
-        combos = np.array(chunk)
+    # profiles in lexicographic order, each chunk from its flat ids
+    for lo in range(0, size, _PROFILE_CHUNK):
+        ids = np.arange(lo, min(lo + _PROFILE_CHUNK, size))
+        combos = lattice[np.stack(np.unravel_index(ids, (lattice.size,) * m),
+                                  axis=1)]
         # the same elementwise operations as for one profile, so each
         # (profile, alpha) entry is bitwise the one-profile value
         pooled = _pooled_error(tables, [tab[combos[:, i]] for i, tab
@@ -468,7 +506,7 @@ def solve_follower(tables: GameTables) -> Equilibrium:
         if best is not None:
             floor = max(floor, best[0][0])
         for r in np.flatnonzero(approx >= floor * shrink).tolist():
-            combo, ih = chunk[r], int(best_ih[r])
+            combo, ih = combos[r].tolist(), int(best_ih[r])
             key = (math.fsum(pays[r].tolist()),
                    -math.fsum(tables.ts[j] for j in combo),
                    -ih, tuple(-j for j in combo))

@@ -6,9 +6,9 @@ Manhattan wall contains x when its scaled-L1 score sum_i |x_i - mean_i|
 / std_i (scaled_l1_score) is at most eta(alpha), a level calibrated by
 Monte Carlo so a Gaussian fitted to the region puts probability alpha
 inside the diamond. calibration_scores draws and scores that sample,
-and eta_of_alpha takes its quantiles, so a region calibrated once gets
-every further level from one np.quantile. Containment is closed
-(boundary points count as inside).
+sorted, and eta_of_alpha takes its quantiles, so a region calibrated
+once gets every further level from one np.quantile. Containment is
+closed (boundary points count as inside).
 
 Both scores work on dimension-major (q, n) deviations, taken once per
 call as one C-ordered subtraction, and sum their q per-dimension terms
@@ -172,7 +172,8 @@ def contraction_counts(wall: Wall, points: np.ndarray, radii, factors
     factors.shape + radii.shape.
 
     The reference score R of a row x is wall.score(x), and order is its
-    stable argsort. Contracting x by a float c in [0, 1] gives y = fl(m +
+    argsort, in any order among ties: no count depends on it (see
+    below). Contracting x by a float c in [0, 1] gives y = fl(m +
     fl(c fl(x - m))), m the wall mean, as game.apply_attack does, and
     S(y) is the computed score of y. Two limits per (c, r) bound S(y)
     through R:
@@ -185,6 +186,15 @@ def contraction_counts(wall: Wall, points: np.ndarray, radii, factors
     Where a guard below fails, L = inf and Lambda = -inf: reach is every
     row and sure is none. At c = 0, L = inf, and Lambda = inf wherever
     every R is finite and r >= 0.
+
+    Ties. sure and reach are searchsorted counts on the sorted R, so
+    each counts all of the rows of one R value or none of them: the
+    first sure rows, the rows up to reach and the rows between are the
+    same sets whatever the order among ties. game.build_tables passes a
+    cell's first sure rows and, of its band, the rows whose moved score
+    is at most the radius; the runs it sorts start and end at these
+    counts, and rows of equal moved score pass together. So no pass
+    set, and no table entry, depends on the order among ties.
 
     c = 0. A finite R means a finite d = fl(x - m) (an infinite
     coordinate makes the score inf or nan), so fl(0 d) = +-0, y = fl(m
@@ -273,7 +283,7 @@ def contraction_counts(wall: Wall, points: np.ndarray, radii, factors
     """
     q = wall.stats.mean.size
     ref = wall.score(points)
-    order = np.argsort(ref, kind="stable")
+    order = np.argsort(ref)
     ref = ref[order]
     r = np.asarray(radii, dtype=np.float64)
     c = np.asarray(factors, dtype=np.float64)
@@ -338,11 +348,13 @@ def sample_gaussian(mean, cov, size: int, seed) -> np.ndarray:
 def calibration_scores(stats: RegionStats, sample_size: int = 100_000,
                        seed=0) -> np.ndarray:
     """The Manhattan calibration: scaled_l1_score of sample_size draws
-    of N(mean, covariance) from seed (sample_gaussian)."""
+    of N(mean, covariance) from seed (sample_gaussian), sorted. A
+    quantile reads only order statistics, so sorting leaves every eta
+    bitwise and lets each np.quantile of them select on sorted data."""
     if sample_size < 2:
         raise ValidationError("sample_size must be at least 2")
     draws = sample_gaussian(stats.mean, stats.covariance, sample_size, seed)
-    return scaled_l1_score(stats, draws)
+    return np.sort(scaled_l1_score(stats, draws))
 
 
 def eta_of_alpha(stats: RegionStats, alpha, sample_size: int = 100_000,

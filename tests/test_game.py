@@ -198,12 +198,12 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def assert_tables_match_direct_evaluation(config, tables):
+def assert_tables_match_direct_evaluation(config, tables, sample_of=draw):
     """Every cell of every adversary's tables equals attacker_utility and
-    the pass rate evaluated directly, bitwise."""
+    the pass rate evaluated directly on sample_of(spec), bitwise."""
     for i, (spec, util) in enumerate(zip(config.adversaries,
                                          config.utilities)):
-        sample = draw(spec)
+        sample = sample_of(spec)
         for ih in range(len(tables.alphas)):
             wall = wall_at(config, tables, ih)
             for it, t in enumerate(tables.ts.tolist()):
@@ -322,12 +322,12 @@ def test_contraction_limits_bound_the_moved_scores(kind, q, far):
         assert undecided <= ts.size * radii.size
 
 
-def clump_config(wall_kind):
+def clump_config(wall_kind, across=1e-30):
     """Two adversaries, each a thin clump that sits on an interior radius
     at one t: ih 4 at t = 0.3 and ih 12 at t = 0.6. A clump spreads by
-    1e-15 across the wall's boundary and by 1e-8 along it, so its
-    scores stay within a few roundings of the radius while its costs,
-    and so its payoffs, differ."""
+    sqrt(across) (1e-15) across the wall's boundary and by 1e-8 along
+    it, so its scores stay within a few roundings of the radius while
+    its costs, and so its payoffs, differ."""
     config = small_config(sample_size=1000, wall_kind=wall_kind,
                           alpha_step=0.05, t_step=0.1, joint_t_step=0.1)
     tables = build_tables(config)
@@ -344,7 +344,7 @@ def clump_config(wall_kind):
         else:
             normal = np.sign(direction) / tables.stats.stddevs
         along = np.array([-normal[1], normal[0]]) / np.hypot(*normal)
-        cov = 1e-16 * np.outer(along, along) + 1e-30 * np.eye(2)
+        cov = 1e-16 * np.outer(along, along) + across * np.eye(2)
         clumps.append(dataclasses.replace(
             config.adversaries[0], mean=tuple(tables.mu_g + reach * direction),
             cov=tuple(map(tuple, cov)), seed=[ih, 1]))
@@ -378,19 +378,90 @@ def test_cells_hold_with_clumps_on_interior_radii(wall_kind):
     assert_tables_match_direct_evaluation(config, tables)
 
 
+def undecided(wall, points, radii, factors):
+    """contraction_counts as if a guard failed: every row of every cell
+    in the band."""
+    order, reach, sure = contraction_counts(wall, points, radii, factors)
+    return order, np.full_like(reach, len(points)), np.zeros_like(sure)
+
+
 @pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
 def test_cells_hold_when_no_limit_decides_a_row(wall_kind, monkeypatch):
     # where a guard fails, no limit decides any sample of a row, and
     # each row's band is the whole row, one run; the clumps make its
     # score order differ from the reference order
     config = clump_config(wall_kind)
-
-    def undecided(wall, points, radii, factors):
-        order, reach, sure = contraction_counts(wall, points, radii, factors)
-        return order, np.full_like(reach, len(points)), np.zeros_like(sure)
-
     monkeypatch.setattr(game, "contraction_counts", undecided)
     assert_tables_match_direct_evaluation(config, build_tables(config))
+
+
+def assert_same_tables(a, b):
+    for x, y in zip(a.attacker + a.adv_error, b.attacker + b.adv_error):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("decided", [True, False],
+                         ids=["limits", "undecided"])
+def test_tables_do_not_depend_on_the_block_budget(wall_kind, decided,
+                                                  monkeypatch):
+    # one t row per block, two or three rows per block, or one block per
+    # adversary: the same bits, on rows with bands and on rows that no
+    # limit decides
+    config = clump_config(wall_kind)
+    if not decided:
+        monkeypatch.setattr(game, "contraction_counts", undecided)
+    expected = build_tables(config)
+    blocks = []
+
+    def recording(values, ends, prefix_sums=game.prefix_sums):
+        blocks.append(len(values))
+        return prefix_sums(values, ends)
+
+    monkeypatch.setattr(game, "prefix_sums", recording)
+    rows = []
+    for budget in (1, 2500, 10 ** 9):
+        blocks.clear()
+        monkeypatch.setattr(game, "BLOCK_ELEMENTS", budget)
+        assert_same_tables(build_tables(config), expected)
+        rows.append(blocks.copy())
+    single, several, whole = rows
+    assert set(single) == {1}
+    assert max(several) > 1 and len(several) > len(whole)
+    assert len(whole) == len(config.adversaries)
+
+
+def drawn_twice(mean, cov, size, seed):
+    """sample_gaussian with each odd row a copy of the row before it."""
+    draws = sample_gaussian(mean, cov, size, seed)
+    draws[1::2] = draws[::2]
+    return draws
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_cells_hold_with_tied_reference_scores_on_band_edges(wall_kind,
+                                                             monkeypatch):
+    # every sample drawn twice, in clumps spread by 3e-14 across the
+    # boundary: each band lies inside its clump, and copies tie in R on
+    # both sides of both of its edges
+    monkeypatch.setattr(game, "sample_gaussian", drawn_twice)
+    config = clump_config(wall_kind, across=1e-27)
+    tables = build_tables(config)
+    wall = wall_at(config, tables, 0)
+
+    def sample_of(spec):
+        return drawn_twice(spec.mean, spec.cov, spec.sample_size, spec.seed)
+
+    for i, (it, ih) in enumerate([(3, 4), (6, 12)]):
+        sample = sample_of(config.adversaries[i])
+        order, reach, sure = contraction_counts(wall, sample, tables.radii,
+                                                1.0 - tables.ts)
+        ref = wall.score(sample)[order]
+        lo, hi = sure[it, ih], reach[it, ih]
+        assert 0 < lo < hi < len(sample)
+        for edge in (lo, hi):
+            assert ref[edge - 2] == ref[edge - 1] < ref[edge] == ref[edge + 1]
+    assert_tables_match_direct_evaluation(config, tables, sample_of)
 
 
 def scaled_config(center, scale, wall_kind, **kw):
@@ -728,6 +799,16 @@ def test_follower_memory_stays_below_one_profile_table():
     finally:
         tracemalloc.stop()
     assert peak < full / 2, (peak, full)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10 ** 5])
+def test_follower_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    # 21^3 = 9261 profiles: one per chunk, chunks that straddle the
+    # lattice's rows, or the whole lattice in one chunk
+    tables = build_tables(game_preset("three_adv_log", sample_size=50))
+    expected = solve_follower(tables)
+    monkeypatch.setattr(game, "_PROFILE_CHUNK", chunk)
+    assert solve_follower(tables) == expected
 
 
 def test_grid_budget_guard():

@@ -9,9 +9,10 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from adclust.errors import DegenerateRegionError, ValidationError
-from adclust.walls import (RegionStats, Wall, chi2_quantile, eta_of_alpha,
-                           fit_euclidean_wall, fit_manhattan_wall,
-                           fit_region_stats, sample_gaussian,
+from adclust.walls import (RegionStats, Wall, calibration_scores,
+                           chi2_quantile, eta_of_alpha, fit_euclidean_wall,
+                           fit_manhattan_wall, fit_region_stats,
+                           sample_gaussian, scaled_l1_score,
                            stats_from_moments)
 from conftest import oracle_chi2_quantile
 
@@ -210,6 +211,32 @@ def test_eta_of_alpha_takes_an_array_of_levels():
         assert type(single) is float and single == eta
     with pytest.raises(ValidationError):
         eta_of_alpha(stats, np.array([0.5, 1.0]), sample_size=5000)
+
+
+def test_calibration_scores_are_the_sorted_draw_scores():
+    stats = stats_from_moments([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
+    scores = calibration_scores(stats, 3000, seed=[5, 99])
+    assert (np.diff(scores) >= 0.0).all()
+    draws = sample_gaussian(stats.mean, stats.covariance, 3000, [5, 99])
+    assert scores.tobytes() == np.sort(scaled_l1_score(stats, draws)).tobytes()
+
+
+def test_eta_of_alpha_does_not_depend_on_the_order_of_the_scores():
+    # ties, and levels whose quantiles fall between the two lowest and
+    # the two highest order statistics
+    rng = np.random.default_rng(8)
+    scores = np.round(rng.exponential(size=2000), 2)
+    assert np.unique(scores).size < scores.size // 2
+    levels = np.concatenate([[1e-9, 1e-4, 0.5 / scores.size],
+                             np.arange(1, 95) / 95.0,
+                             [1.0 - 1e-4, 1.0 - 1e-12]])
+    assert levels.size == 99
+    stats = stats_from_moments([0.0], [[1.0]])
+    shuffled = eta_of_alpha(stats, levels, scores=scores)
+    ordered = eta_of_alpha(stats, levels, scores=np.sort(scores))
+    assert shuffled.tobytes() == ordered.tobytes()
+    for level, eta in zip(levels.tolist(), ordered.tolist()):
+        assert eta_of_alpha(stats, level, scores=np.sort(scores)) == eta
 
 
 def dimension_order_scores(wall, points):
