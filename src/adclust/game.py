@@ -30,31 +30,33 @@ bounds the float error of the scaling and gives each (t, alpha) cell
 two counts in that order: the first sure objects pass the cell's radius
 and the objects from reach on do not. Between them lies the cell's
 band, the objects a few roundings from the radius that only their score
-decides. Bands are rare (none on the presets at seeds 0-9). A row only
-needs the objects up to its widest reach (its width). The rows are
-filled in blocks of consecutive t rows, each block at most
-exact.BLOCK_ELEMENTS payoffs (rows times its widest row; a wider row is
-a block of its own): a block attacks and costs its objects for all its
-rows in one broadcast array, with apply_attack's and movement_cost's
-elementwise formulas, and sets each row's payoffs past its own width to
-+0. Where some cell of a row has a band, the row's band objects, and
-only they, are scored, each run of consecutive band objects is put in
-the order of those scores, and the runs' order is applied to their
-payoffs. A cell passes its sure objects and the band objects whose
-score is at most its radius, and every radius passes a prefix of the
-row, so a block fills all its rows' entries from one exact prefix sum
+decides. Bands are rare (none on the three_adv_* presets at seeds
+0-39). A row only needs the objects up to its widest reach, its width
+w. The rows are filled in blocks of consecutive t rows, each block at
+most exact.BLOCK_ELEMENTS payoffs (rows times its widest row; a wider
+row is a block of its own): a block attacks and costs its objects for
+all its rows in one broadcast array, with apply_attack's and
+movement_cost's elementwise formulas, and sets each row's payoffs past
+its own width to +0. A row without a band passes each cell's sure
+objects. Where some cell of a row has a band (where a guard of
+contraction_counts fails, every cell has one), the row's w objects are
+scored at once and its payoffs put in the order of those scores; a cell
+passes the objects whose score is at most its radius (one search in the
+sorted scores), and the objects past w fail every radius, as reach <= w.
+Tied scores pass together at every radius, so the order among them does
+not matter. Either way every radius passes a prefix of the row, so a block
+fills all its rows' entries from one exact prefix sum
 (exact.prefix_sums); a row that nothing can reach is in no block and
-keeps its zero entries. Where a guard of contraction_counts fails, a
-row's band is the whole row, one run. At t = 1 every object lands on
-the mean and scores +-0 (contraction_counts proves it), so that row
-passes every object at every radius with no score.
+keeps its zero entries. At t = 1 every object lands on the mean and
+scores +-0 (contraction_counts proves it), so that row passes every
+object at every radius with no score.
 Direct evaluation sums the masked payoffs of the whole sample with
 exact.row_sums; both sums are bitwise math.fsum of the same values, so
 direct evaluation and table lookup agree bitwise whatever the order of
 the sample, and results do not depend on BLAS threading. A wall score
 does not depend on the layout of its input or on the other objects
 scored with it, so the direct evaluation of a row-major draw and the
-score of a row's band give the same bits.
+score of a banded row give the same bits.
 
 The follower search streams the joint profiles in lexicographic order,
 in chunks of consecutive flat profile ids (np.unravel_index), and takes
@@ -278,66 +280,6 @@ def defender_utility(normal_error, adversary_error, cost_c: float):
     return -100.0 * (normal_error + cost_c * adversary_error)
 
 
-def _band(sure: np.ndarray, reach: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """(spots, runs): every position p with sure[j] <= p < reach[j] for
-    some j, in increasing order, and the maximal run of consecutive
-    positions each belongs to, numbered in that order."""
-    by = np.argsort(sure, kind="stable")
-    lo, hi = sure[by], reach[by]
-    # clipped to where the ranges before it end, the ranges are disjoint
-    # and in order, and still cover the band
-    lo[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1])
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    size = hi - lo
-    spots = np.repeat(lo - (np.cumsum(size) - size), size) + \
-        np.arange(size.sum())
-    fresh = np.ones(lo.size, dtype=bool)
-    fresh[1:] = lo[1:] != hi[:-1]
-    return spots, np.repeat(np.cumsum(fresh) - 1, size)
-
-
-def _run_counts(runs: np.ndarray, scores: np.ndarray, run: np.ndarray,
-                radius: np.ndarray) -> np.ndarray:
-    """For each query j, how many of the scores in run[j] are at most
-    radius[j]; runs is nondecreasing. One sort of the scores and the
-    queries by (run, value), a score before a query it ties (nan
-    scores last)."""
-    is_query = np.arange(scores.size + run.size) >= scores.size
-    merged = np.lexsort((is_query, np.concatenate([scores, radius]),
-                         np.concatenate([runs, run])))
-    below = np.cumsum(~is_query[merged])
-    place = np.empty_like(merged)
-    place[merged] = np.arange(merged.size)
-    return below[place[scores.size:]] - np.searchsorted(runs, run)
-
-
-def _settle_band(wall: Wall, moved: np.ndarray, pay: np.ndarray,
-                 radii: np.ndarray, sure: np.ndarray, reach: np.ndarray
-                 ) -> np.ndarray:
-    """The pass count of each radius of one t row with a band, whose
-    moved objects and payoffs are moved and pay; pay is put in place in
-    the order that makes every radius pass a prefix of the row.
-
-    The row's band is every position p with sure[ih] <= p < reach[ih]
-    for some ih. Its objects are scored, and each maximal run of
-    consecutive band positions is put in score order (stable). A cell's
-    band [sure, reach) lies in one run: the objects before the run pass
-    the cell's radius and those after it do not, so the cell passes the
-    objects before the run and those of the run whose score is at most
-    its radius."""
-    spots, runs = _band(sure, reach)
-    scores = wall.score(moved[spots])
-    pay[spots] = pay[spots[np.lexsort((scores, runs))]]
-    cells = np.flatnonzero(reach > sure)
-    run = runs[np.searchsorted(spots, sure[cells])]
-    passed = sure.copy()
-    passed[cells] = spots[np.searchsorted(runs, run)] + _run_counts(
-        runs, scores, run, radii[cells])
-    return passed
-
-
 def _row_blocks(widths: list[int]):
     """(rows, widest): runs of consecutive t rows of nonzero width, in
     order, each holding at most BLOCK_ELEMENTS payoffs (its row count
@@ -420,9 +362,13 @@ def build_tables(config: GameConfig) -> GameTables:
                 w = widths[it]
                 pay[r, w:] = 0.0
                 if banded[it]:
-                    passed[it] = _settle_band(wall, moved[:, r, :w].T,
-                                              pay[r, :w], radii, sure[it],
-                                              reach[it])
+                    # a cell passes the row's objects whose moved score is
+                    # at most its radius: in score order, a prefix
+                    scores = wall.score(moved[:, r, :w].T)
+                    by = np.argsort(scores)
+                    pay[r, :w] = pay[r, by]
+                    passed[it] = np.searchsorted(scores[by], radii,
+                                                 side="right")
             # the samples that pass radius ih are the first passed[it, ih],
             # so every entry is one prefix of its row of pay
             a_tab[rows] = prefix_sums(pay, passed[rows]) / n

@@ -191,9 +191,11 @@ def contraction_counts(wall: Wall, points: np.ndarray, radii, factors
     each counts all of the rows of one R value or none of them: the
     first sure rows, the rows up to reach and the rows between are the
     same sets whatever the order among ties. game.build_tables passes a
-    cell's first sure rows and, of its band, the rows whose moved score
-    is at most the radius; the runs it sorts start and end at these
-    counts, and rows of equal moved score pass together. So no pass
+    cell's first sure rows where no cell of its t row has a band (reach
+    > sure). Where one does, it scores the row's first w rows, w the
+    row's largest reach (a set, by the same argument), sorts them by
+    moved score and passes, at each radius, those whose moved score is
+    at most it: rows of equal moved score pass together. So no pass
     set, and no table entry, depends on the order among ties.
 
     c = 0. A finite R means a finite d = fl(x - m) (an infinite

@@ -355,8 +355,9 @@ def clump_config(wall_kind, across=1e-30):
 @pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
 def test_cells_hold_with_clumps_on_interior_radii(wall_kind):
     # each clump's row holds samples within a few roundings of a radius,
-    # which no limit decides: build_tables scores them and reorders them
-    # by their moved scores so that each radius passes a prefix
+    # which no limit decides: build_tables scores that row's samples and
+    # puts them in the order of their moved scores, so that each radius
+    # passes a prefix
     config = clump_config(wall_kind)
     tables = build_tables(config)
     for i, (it, ih) in enumerate([(3, 4), (6, 12)]):
@@ -388,11 +389,41 @@ def undecided(wall, points, radii, factors):
 @pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
 def test_cells_hold_when_no_limit_decides_a_row(wall_kind, monkeypatch):
     # where a guard fails, no limit decides any sample of a row, and
-    # each row's band is the whole row, one run; the clumps make its
-    # score order differ from the reference order
+    # every row is scored whole and put in score order; the clumps make
+    # that order differ from the reference order
     config = clump_config(wall_kind)
     monkeypatch.setattr(game, "contraction_counts", undecided)
     assert_tables_match_direct_evaluation(config, build_tables(config))
+
+
+@pytest.mark.parametrize("wall_kind", ["euclidean", "manhattan"])
+def test_only_rows_with_a_band_take_a_wall_score(wall_kind, monkeypatch):
+    # build_tables scores the normal sample and each adversary sample
+    # once, then the first widths[it] samples of each t row where some
+    # cell has a band, and no other row
+    calls = []
+
+    def counting(wall, points, score=Wall.score):
+        calls.append(len(points))
+        return score(wall, points)
+
+    preset = game_preset("three_adv_log", wall_kind=wall_kind, seed=0)
+    monkeypatch.setattr(Wall, "score", counting)
+    build_tables(preset)
+    assert calls == [10_000] * 4
+    config = clump_config(wall_kind)
+    calls.clear()
+    tables = build_tables(config)
+    got = calls.copy()
+    wall = wall_at(config, tables, 0)
+    want = [1000]
+    for spec in config.adversaries:
+        _, reach, sure = contraction_counts(wall, draw(spec), tables.radii,
+                                            1.0 - tables.ts)
+        banded = (reach > sure).any(axis=1)
+        assert 0 < banded.sum() < len(tables.ts)
+        want += [1000] + reach.max(axis=1)[banded].tolist()
+    assert got == want
 
 
 def assert_same_tables(a, b):

@@ -26,7 +26,10 @@ report is built or written.
 --game adds one line per three_adv_* game preset (seed --seed, 10k
 draws per population) and wall kind, the inputs of perfbench's
 game_solve workload: the medians of build_tables and of solve_leader and
-solve_follower on its tables.
+solve_follower on its tables, and banded_rows, the t rows over all
+adversaries where some cell has a band (reach > sure in
+walls.contraction_counts, so build_tables scores the row), counted by
+wrapping game.contraction_counts (null on a checkout without the name).
 
 Each line runs in a fresh process with one BLAS/OpenMP thread, so its
 peak RSS (ru_maxrss) is its own. A stage time is the inclusive wall time
@@ -146,13 +149,25 @@ def game_times(root: Path, index: int, seed: int, repeat: int) -> dict:
     """Median build_tables, solve_leader and solve_follower times of
     `repeat` solves of GAMES[index]."""
     sys.path[:0] = [str(root / "src")]
+    from adclust import game
     from adclust.game import build_tables, solve_follower, solve_leader
     from adclust.synthetic import game_preset
+
+    # an older checkout may lack contraction_counts: banded_rows is null
+    wrapped = hasattr(game, "contraction_counts")
+    banded = []
+    if wrapped:
+        def counting(*args, counts=game.contraction_counts):
+            order, reach, sure = counts(*args)
+            banded.append(int((reach > sure).any(axis=1).sum()))
+            return order, reach, sure
+        game.contraction_counts = counting
 
     name, wall = GAMES[index]
     config = game_preset(name, wall_kind=wall, seed=seed)
     runs = []
     for _ in range(repeat):
+        banded.clear()
         start = time.perf_counter()
         tables = build_tables(config)
         run = [time.perf_counter() - start]
@@ -163,6 +178,7 @@ def game_times(root: Path, index: int, seed: int, repeat: int) -> dict:
         runs.append(run)
     stages = ("build_tables", "solve_leader", "solve_follower")
     return {"preset": name, "wall": wall,
+            "banded_rows": sum(banded) if wrapped else None,
             "stages_s": {k: median(col) for k, col in zip(stages, zip(*runs))}}
 
 
