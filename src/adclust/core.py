@@ -330,8 +330,9 @@ class Stage:
       the results at that k;
     - walls: by (member ids, wall position), the region's RegionStats,
       its Manhattan calibration scores (None for Euclidean walls) and a
-      dict of its walls by alpha. Within one stage the kind, seed and
-      sample size that a wall also depends on are fixed by params.
+      dict by alpha of its wall and that wall's contains() mask over
+      the dataset. Within one stage the kind, seed and sample size that
+      a wall also depends on are fixed by params.
     """
 
     dataset: Dataset
@@ -403,6 +404,7 @@ def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
 
     walls: list[Wall] = []
     wall_sub_ids: list[int] = []
+    inside = np.zeros(dataset.n, dtype=bool)
     for idx, sc in enumerate(comp.sub_clusters):
         if sc.class_tag != "normal" or sc.members.size < params.min_wall_size:
             continue
@@ -417,16 +419,14 @@ def finish(stage: Stage, k: float, alpha: float) -> ClusteringResult:
         stats, scores, by_alpha = stage.walls[key]
         if alpha not in by_alpha:
             if scores is None:
-                by_alpha[alpha] = fit_euclidean_wall(stats, alpha)
+                wall = fit_euclidean_wall(stats, alpha)
             else:
-                by_alpha[alpha] = fit_manhattan_wall(stats, alpha,
-                                                     scores=scores)
-        walls.append(by_alpha[alpha])
+                wall = fit_manhattan_wall(stats, alpha, scores=scores)
+            by_alpha[alpha] = wall, wall.contains(pts)
+        wall, mask = by_alpha[alpha]
+        walls.append(wall)
         wall_sub_ids.append(idx)
-
-    inside = np.zeros(dataset.n, dtype=bool)
-    for wall in walls:
-        inside |= wall.contains(pts)
+        inside |= mask
     protected = inside & (comp.region == REGION_NORMAL_CORE)
 
     return ClusteringResult(composition=comp, walls=walls,

@@ -26,39 +26,167 @@ except PackageNotFoundError:  # running from a source tree
     _PKG_VERSION = "0.1.0"
 
 
-# stands in for points.rows while the rest of a report is indented; a
-# NUL cannot occur in any string a report holds
-_ROWS_MARK = "\0points.rows\0"
-
-
 def _tolist(value):
     return value.tolist()
 
 
-def dump_json(obj, path: str) -> None:
-    """json.dumps(obj, sort_keys=True, indent=2) plus a newline; numpy
-    arrays and scalars are written as their tolist() values.
+class RowTable:
+    """n rows held as integer or boolean columns of n values (None for
+    an all-null one), not copied. len(), iteration and tolist() give the
+    list of row lists; dump_json writes its text from the columns, with
+    no Python list per row."""
 
-    The indenting encoder is pure Python, so a cluster report's
-    points.rows, which holds only ints, bools and None, is encoded
-    compactly by the C encoder and its separators re-indented: the
-    bytes are the same.
+    def __init__(self, columns: list, n: int):
+        self.columns = [None if col is None else np.asarray(col)
+                        for col in columns]
+        self.n = n
+        for col in self.columns:
+            if col is not None and (col.dtype.kind not in "biu"
+                                    or col.shape != (n,)):
+                raise TypeError("a RowTable column is None or holds n "
+                                "integers or booleans")
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def tolist(self) -> list:
+        cols = [[None] * self.n if col is None else col.tolist()
+                for col in self.columns]
+        return [list(row) for row in zip(*cols)]
+
+    def json_text(self, pad: str) -> str:
+        """The rows' indented JSON text, the list's closing bracket on
+        pad (a newline and its indentation).
+
+        Each column's distinct values become byte strings, NUL-padded to
+        one width, so one uint8 array of the rows' fixed-width layout
+        holds the text; the NULs are dropped at the end (JSON text holds
+        no raw NUL)."""
+        if self.n == 0:
+            return "[]"
+        row, cell = pad + "  ", pad + "    "
+        last = len(self.columns) - 1
+        blocks = []
+        for j, col in enumerate(self.columns):
+            if col is None:
+                values, codes = ["null"], np.zeros(self.n, dtype=np.intp)
+            elif col.dtype == bool:
+                values, codes = ["false", "true"], col.view(np.uint8)
+            else:
+                lo, hi = col.min(), col.max()
+                if int(hi) - int(lo) < self.n:  # index the texts by value
+                    values = range(int(lo), int(hi) + 1)
+                    # wraps past 2^63 alike in both operands: still exact
+                    codes = np.subtract(col, lo, dtype=np.intp)
+                else:
+                    values, codes = np.unique(col, return_inverse=True)
+                    values = values.tolist()
+            head = row + "[" + cell if j == 0 else cell
+            tail = "," if j < last else row + "],"
+            texts = [f"{head}{value}{tail}" for value in values]
+            width = max(map(len, texts))
+            lookup = np.frombuffer(
+                "".join(text.ljust(width, "\0") for text in texts).encode(),
+                dtype=np.uint8).reshape(len(texts), width)
+            blocks.append(lookup.take(codes, axis=0))
+        body = np.concatenate(blocks, axis=1).tobytes().translate(None, b"\0")
+        return "[" + body[:-1].decode("ascii") + pad + "]"
+
+
+def _records_text(records, pad: str) -> str | None:
+    """The indented JSON text of a nonempty list of nonempty flat
+    records, closing bracket on pad, by the rule in dump_json; None for
+    a list that does not qualify."""
+    if not records:
+        return None
+    kind = dict if isinstance(records[0], dict) else (list, tuple)
+    if not all(isinstance(r, kind) for r in records):
+        return None
+    flat = json.dumps(records, sort_keys=True, separators=(",", ":"),
+                      default=_tolist)
+    n, m = len(records), sum(map(len, records))
+    dicts = kind is dict
+    if (flat.count(",") != m - 1 or flat.count(":") != (m if dicts else 0)
+            or flat.count("[") != (1 if dicts else n + 1)
+            or flat.count("]") != (1 if dicts else n + 1)
+            or flat.count("{") != (n if dicts else 0)
+            or flat.count("}") != (n if dicts else 0)):
+        return None
+    opener, closer = ("{", "}") if dicts else ("[", "]")
+    row, cell = pad + "  ", pad + "    "
+    body = (flat[2:-2].replace(closer + "," + opener, "\0")
+            .replace(",", "," + cell).replace(":", ": ")
+            .replace("\0", row + closer + "," + row + opener + cell))
+    return "[" + row + opener + cell + body + row + closer + pad + "]"
+
+
+def _lift(obj, pad: str, texts: list):
+    """obj with each RowTable and each list _records_text can write
+    replaced by a marker string; the texts go to texts, in marker
+    order. pad is the newline and indentation of obj's own level."""
+    if isinstance(obj, RowTable):
+        text = obj.json_text(pad)
+    elif isinstance(obj, dict):
+        return {key: _lift(value, pad + "  ", texts)
+                for key, value in obj.items()}
+    elif isinstance(obj, (list, tuple)):
+        text = _records_text(obj, pad)
+        if text is None:
+            return [_lift(value, pad + "  ", texts) for value in obj]
+    else:
+        return obj
+    texts.append(text)
+    return f"\0\0{len(texts) - 1}"
+
+
+def dump_json(obj, path: str) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    numpy arrays and scalars as their tolist() values and a RowTable as
+    the list of its rows. The bytes are exactly the stdlib indenting
+    encoder's.
+
+    That encoder is pure Python, so the bulk of a report is written
+    another way:
+    - a RowTable's text is built from its integer columns;
+    - every other nonempty list of nonempty flat records (clusters,
+      sub_clusters, a plain-list points.rows) is encoded once by the C
+      encoder, compactly, and re-indented with str.replace;
+    - everything else, a small skeleton with a marker string in place
+      of each such list, goes through the stdlib indenting encoder, and
+      each marker is then replaced by its list's text.
+
+    A list qualifies when its records are all lists or all dicts and
+    each count of , : [ ] { } in its compact text equals what n records
+    of m items in all imply: m - 1 commas; for dicts n braces each way,
+    m colons and one bracket each way; for lists n + 1 brackets each
+    way. Nothing can lower a count: a nested container, an empty record
+    (one comma more) or a string holding one of the six raises one, and
+    a number adds none. So equal counts leave only nonempty records of
+    scalars, in whose text each of the six is structural, which is what
+    the replaces rely on. JSON text holds no raw NUL, so one can stand
+    in for the records' separators while the commas are replaced.
+
+    A marker is a string of two NULs and a number. Should the
+    skeleton's text hold the markers' escaped prefix anywhere else (a
+    string of obj starting with it, say), the whole object goes through
+    the stdlib encoder instead.
     """
-    rows = obj.get("points", {}).get("rows")
-    if rows:
-        obj = {**obj, "points": {**obj["points"], "rows": _ROWS_MARK}}
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_tolist)
-    if rows:
-        mark = json.dumps(_ROWS_MARK)
-        at = text.index(mark)
-        line = text[text.rfind("\n", 0, at) + 1:at]
-        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        flat = json.dumps(rows, separators=(",", ":"), default=_tolist)
-        body = (flat[2:-2].replace("],[", "\0")
-                .replace(",", "," + pad + "    ")
-                .replace("\0", pad + "  ]," + pad + "  [" + pad + "    "))
-        text = (text[:at] + "[" + pad + "  [" + pad + "    " + body
-                + pad + "  ]" + pad + "]" + text[at + len(mark):])
+    texts: list[str] = []
+    skeleton = _lift(obj, "\n", texts)
+    text = json.dumps(skeleton, sort_keys=True, indent=2, default=_tolist)
+    if texts:
+        head, *rest = text.split('"\\u0000\\u0000')
+        if len(rest) == len(texts):
+            parts = [head]
+            for piece in rest:
+                index, tail = piece.split('"', 1)
+                parts += [texts[int(index)], tail]
+            text = "".join(parts)
+        else:
+            text = json.dumps(obj, sort_keys=True, indent=2, default=_tolist)
     write_text(path, text + "\n")
 
 
@@ -96,7 +224,8 @@ def cluster_metrics(result: ClusteringResult,
 def build_cluster_report(dataset: Dataset, result: ClusteringResult,
                          truth: np.ndarray | None, command: dict,
                          metrics: dict) -> dict:
-    """metrics is cluster_metrics(result, truth), computed by the caller."""
+    """metrics is cluster_metrics(result, truth), computed by the caller.
+    points.rows is a RowTable over the result's and dataset's arrays."""
     comp = result.composition
     p = result.params
     walls = []
@@ -115,12 +244,8 @@ def build_cluster_report(dataset: Dataset, result: ClusteringResult,
         if wall.kind == "manhattan":
             entry["eta_sample_size"] = p.eta_sample_size
         walls.append(entry)
-    truth_col = (truth.tolist() if truth is not None
-                 else [None] * dataset.n)
-    rows = [list(row) for row in zip(
-        comp.region.tolist(), comp.cluster_of_point.tolist(),
-        comp.sub_cluster_of.tolist(), dataset.labels.tolist(), truth_col,
-        result.protected.tolist())]
+    rows = RowTable([comp.region, comp.cluster_of_point, comp.sub_cluster_of,
+                     dataset.labels, truth, result.protected], dataset.n)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cluster",

@@ -340,6 +340,7 @@ def test_finish_in_any_order_equals_a_fresh_adclust(case):
             assert (getattr(got.composition, name).tobytes()
                     == getattr(want.composition, name).tobytes())
         assert got.protected.tobytes() == want.protected.tobytes()
+        assert got.inside_walls.tobytes() == want.inside_walls.tobytes()
         assert len(got.walls) == len(want.walls) > 0
         for a, b in zip(got.walls, want.walls):
             assert (a.level, a.radius) == (b.level, b.radius)

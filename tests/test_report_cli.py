@@ -14,10 +14,10 @@ from adclust.core import adclust
 from adclust.dataset import (Dataset, ingest_csv, label_token,
                              read_truth_csv, write_csv)
 from adclust.game import solve_game
-from adclust.report import (build_cluster_report, build_game_report,
-                            cluster_metrics, dump_json)
+from adclust.report import (RowTable, build_cluster_report,
+                            build_game_report, cluster_metrics, dump_json)
 from adclust.synthetic import game_preset, simulation_preset
-from adclust.walls import eta_of_alpha, stats_from_moments
+from adclust.walls import Wall, eta_of_alpha, stats_from_moments
 
 
 def blob_csv(path, seed=5, n=60, gap=8.0):
@@ -353,6 +353,22 @@ def test_landscape_cells_are_plain_numbers(tmp_path):
             float(cell)
 
 
+# strings that hold every character the writer's re-indenting replaces,
+# the escapes, the writer's marker prefix and non-ASCII text
+NASTY = ["a,b", "k:v", "[x]", "{y}", 'say "hi"', "back\\slash", "nul\0byte",
+         "\0\0", "\0\x000", 'q"\0\0', "\u00e9t\u00e9 \u6f22\u5b57 \U0001f600",
+         "],[", "},{", "", " \n\t"]
+
+
+def assert_dump_is_the_indenting_encoders(tmp_path, objs):
+    for i, obj in enumerate(objs):
+        path = tmp_path / f"r{i}.json"
+        dump_json(obj, str(path))
+        assert path.read_text() == json.dumps(
+            obj, sort_keys=True, indent=2,
+            default=lambda v: v.tolist()) + "\n", i
+
+
 def test_dump_json_matches_the_indenting_encoder(tmp_path):
     dataset, truth, params = simulation_preset("sim1", seed=0)
     result = adclust(dataset, params)
@@ -369,12 +385,77 @@ def test_dump_json_matches_the_indenting_encoder(tmp_path):
     reports.append({"points": {"rows": [[None]]}, "z": np.arange(3)})
     assert any(-1 in row for row in reports[0]["points"]["rows"])
     assert any(None in row for row in reports[1]["points"]["rows"])
-    for i, rep in enumerate(reports):
-        path = tmp_path / f"r{i}.json"
-        dump_json(rep, str(path))
-        assert path.read_text() == json.dumps(
-            rep, sort_keys=True, indent=2,
-            default=lambda v: v.tolist()) + "\n", i
+    assert_dump_is_the_indenting_encoders(tmp_path, reports)
+
+
+def test_dump_json_matches_the_indenting_encoder_on_adversarial_objects(
+        tmp_path):
+    # each string alone in a list of records, as a key and a value
+    objs = [[{"n": 1, "f": -0.0}, {"n": 2, text: text}] for text in NASTY]
+    objs += [[[1, 2.5], [text, None]] for text in NASTY]
+    objs += [
+        # structural characters, escapes and the marker prefix in a
+        # skeleton, alone and beside lists of records
+        [{text: text} for text in NASTY], [[text] for text in NASTY],
+        {"skeleton": NASTY, "keys": dict.fromkeys(NASTY, 1),
+         "clusters": [{"id": i, "size": 2 * i} for i in range(3)]},
+        {"command": {"input": "\0\x000"}, "clusters": [{"id": 0}],
+         "rows": [[1, 2], [3, 4]]},
+        {"command": {"input": 'x"\0\0'}, "clusters": [{"id": 0}]},
+        # empty containers, empty and mixed records, nesting
+        [], {}, [[]], [{}], [[], [1]], [{}, {"a": 1}], [[1], {"a": 1}],
+        [{"a": 1}, [1]], {"a": [], "b": {}, "c": [[]], "d": [{}, {}]},
+        [[[1, 2]], [[3]]], [[1, [2]]], [{"a": {"b": 1}}], [{"a": [1]}],
+        [[1, 2], [3, 4]], [[1]], [(1, 2), (3,)], ([1, 2], [3, 4]),
+        {"deep": [[[{"a": 1}, {"b": 2}]], [[{"c": [3]}]]]},
+        # numpy scalars and arrays inside records, non-finite floats,
+        # non-string keys
+        [{"i": np.int64(-7), "f": np.float64(0.1), "b": np.bool_(True),
+          "h": np.float32(0.5), "u": np.uint8(200)}],
+        [[np.int8(-1), np.float64(1e300), np.bool_(False)]],
+        [[np.arange(2)], [np.arange(3.0)]], [{"m": np.eye(2)}],
+        [[np.zeros(0)]], [[float("nan"), float("inf"), -float("inf")]],
+        [{1: "one", 2.5: "two", -3: None}], [{None: 1}, {True: 2}],
+        [[10 ** 30, -(10 ** 30), 2 ** 63]],
+    ]
+    assert_dump_is_the_indenting_encoders(tmp_path, objs)
+
+
+def test_dump_json_writes_row_tables_as_their_rows(tmp_path):
+    dataset, truth, params = simulation_preset("sim2", seed=1)
+    result = adclust(dataset, params)
+    tables = [build_cluster_report(dataset, result, t, {"command": "x"},
+                                   cluster_metrics(result, t))["points"]
+              ["rows"] for t in (truth, None)]
+    assert all(isinstance(table, RowTable) for table in tables)
+    rng = np.random.default_rng(0)
+    ints = rng.integers(-5, 5, 40)
+    # a one-row table, an empty one, all-null and sparse columns (ids
+    # far apart), every integer width, bools only
+    tables += [
+        RowTable([np.array([3]), None, np.array([True])], 1),
+        RowTable([np.zeros(0, dtype=int), None], 0),
+        RowTable([None, ints, None], 40),
+        RowTable([ints * 10 ** 12, ints.astype(np.int8),
+                  (ints + 5).astype(np.uint64), ints > 0], 40),
+        RowTable([np.array([-2 ** 63, 2 ** 63 - 1, 0]),
+                  np.array([2 ** 64 - 1, 2 ** 64 - 3, 2 ** 64 - 2],
+                           dtype=np.uint64),
+                  np.array([-128, 127, 0], dtype=np.int8)], 3),
+        RowTable([np.array([False, True, True])], 3),
+    ]
+    for table in tables:
+        assert len(table) == len(table.tolist()) == len(list(table))
+        assert list(table) == table.tolist()
+        assert json.loads(json.dumps(table.tolist())) == table.tolist()
+    objs = [{"points": {"rows": table}, "n": len(table)} for table in tables]
+    objs += [tables[2], [tables[2], tables[3]], {"a": {"b": [tables[3]]}},
+             [{"rows": tables[4]}]]
+    assert_dump_is_the_indenting_encoders(tmp_path, objs)
+    with pytest.raises(TypeError):
+        RowTable([np.array([0.5])], 1)
+    with pytest.raises(TypeError):
+        RowTable([np.array([1, 2])], 3)
 
 
 def test_game_cli_config_section(tmp_path):
@@ -608,6 +689,52 @@ def test_wall_sweep_draws_each_calibration_once_per_run(tmp_path,
     draws, written = draws_and_walls_written(tmp_path, monkeypatch, "wall")
     assert sorted(draws) == sorted(set(written))
     assert len(draws) < len(written)
+
+
+@pytest.mark.parametrize("kind", ["weight", "wall"])
+@pytest.mark.parametrize("wall", ["euclidean", "manhattan"])
+def test_sweep_tests_containment_once_per_wall(tmp_path, monkeypatch, kind,
+                                               wall):
+    """One Wall.contains call per distinct (run, region, position,
+    alpha), however many grid points share that wall."""
+    calls = []
+    real = Wall.contains
+
+    def counted(self, points):
+        calls.append((self.stats.mean.tobytes(), self.stats.member_count,
+                      self.level))
+        return real(self, points)
+
+    monkeypatch.setattr(Wall, "contains", counted)
+    out = tmp_path / kind
+    assert main(["sweep", "--kind", kind, "--preset", "sim2", "--wall", wall,
+                 "--runs", "2", "--out", str(out)]) == 0
+    distinct, returned = set(), 0
+    for path in out.glob("report_*.json"):
+        rep = json.loads(path.read_text())
+        returned += len(rep["walls"])
+        distinct |= {(rep["params"]["seed"], pos,
+                      np.asarray(w["mean"]).tobytes(), w["member_count"],
+                      w["level"]) for pos, w in enumerate(rep["walls"])}
+    assert len(calls) == len(distinct) < returned
+    assert set(calls) == {key[2:] for key in distinct}
+
+
+@pytest.mark.parametrize("kind", ["weight", "wall"])
+@pytest.mark.parametrize("wall", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("preset", ["sim1", "sim2", "sim3"])
+def test_sweep_reports_are_the_indenting_encoders_bytes(tmp_path, preset,
+                                                        kind, wall):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kind", kind, "--preset", preset, "--wall", wall,
+                 "--out", str(out)]) == 0
+    paths = sorted(out.glob("report_*.json"))
+    assert len(paths) == len(cli.WEIGHT_GRID if kind == "weight" else
+                             cli.WALL_ALPHA_GRID * len(cli.WALL_K_GRID))
+    for path in paths:
+        text = path.read_text()
+        assert json.dumps(json.loads(text), sort_keys=True,
+                          indent=2) + "\n" == text, path.name
 
 
 def test_wall_sweep_runs_the_passes_once_per_k(tmp_path, monkeypatch):

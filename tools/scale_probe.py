@@ -19,9 +19,11 @@ points, drawn from --seed) in q dimensions, with cluster_q8's parameters.
 
 --sweep adds one line on the 20k resample: one core.prepare() and the 15
 core.finish() calls of a wall sweep (cli.WALL_ALPHA_GRID x
-cli.WALL_K_GRID, in the order sweep runs them). It prints the stage time
-(prepare_s), each grid point's tail time (finish_s) and their sum; no
-report is built or written.
+cli.WALL_K_GRID, in the order sweep runs them), each followed by its
+report: cli.build_cluster_report and cli.dump_json to a temporary
+directory, with no truth (the input has none), as sweep writes it. It
+prints the stage time (prepare_s), each grid point's tail time
+(finish_s) and report time (report_s), and their sums.
 
 --game adds one line per three_adv_* game preset (seed --seed, 10k
 draws per population) and wall kind, the inputs of perfbench's
@@ -53,6 +55,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -123,26 +126,37 @@ def stage_times(dataset, params, repeat: int) -> dict:
 
 
 def sweep_times(dataset, params, repeat: int) -> dict:
-    """Median prepare() time and per-grid-point finish() times of
-    `repeat` wall sweeps."""
-    from adclust.cli import WALL_ALPHA_GRID, WALL_K_GRID
+    """Median prepare() time and per-grid-point finish() and report
+    times of `repeat` wall sweeps."""
+    from adclust.cli import (WALL_ALPHA_GRID, WALL_K_GRID,
+                             build_cluster_report, cluster_metrics, dump_json)
     from adclust.core import finish, prepare
 
     grid = [(k, a) for a in WALL_ALPHA_GRID for k in WALL_K_GRID]
     runs = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        stage = prepare(dataset, params)
-        run = [time.perf_counter() - start]
-        for k, alpha in grid:
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(repeat):
             start = time.perf_counter()
-            finish(stage, k, alpha)
-            run.append(time.perf_counter() - start)
-        runs.append(run)
-    cols = list(zip(*runs))
-    finish_s = [median(col) for col in cols[1:]]
-    return {"grid_points": len(grid), "prepare_s": median(cols[0]),
-            "finish_s": finish_s, "finish_total_s": round(sum(finish_s), 4)}
+            stage = prepare(dataset, params)
+            run = [time.perf_counter() - start]
+            for k, alpha in grid:
+                start = time.perf_counter()
+                result = finish(stage, k, alpha)
+                run.append(time.perf_counter() - start)
+                metrics = cluster_metrics(result, None)
+                command = {"command": "sweep", "kind": "wall", "k": k,
+                           "alpha": alpha, "run": 0}
+                start = time.perf_counter()
+                dump_json(build_cluster_report(dataset, result, None, command,
+                                               metrics),
+                          os.path.join(out, f"report_k{k:g}_a{alpha:g}.json"))
+                run.append(time.perf_counter() - start)
+            runs.append(run)
+    cols = [median(col) for col in zip(*runs)]
+    finish_s, report_s = cols[1::2], cols[2::2]
+    return {"grid_points": len(grid), "prepare_s": cols[0],
+            "finish_s": finish_s, "finish_total_s": round(sum(finish_s), 4),
+            "report_s": report_s, "report_total_s": round(sum(report_s), 4)}
 
 
 def game_times(root: Path, index: int, seed: int, repeat: int) -> dict:
